@@ -47,7 +47,6 @@ from .extremal import (
     homogeneous_extract,
     missing_vs_nonm_check,
     phi_star_matching,
-    stability_exponent,
     tree_shadow_bound_check,
     turan_oracle,
 )

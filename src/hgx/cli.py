@@ -3,7 +3,7 @@
 Loads hypergraph JSON, dispatches to the library, and prints a single
 deterministic JSON report on stdout (tables via ``--table``); stderr
 carries diagnostics.  Exit codes: 0 success/pass, 1 verification
-failure, 2 usage or input errors.
+failure, 2 usage or input errors or an exhausted search budget.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ def _flatten(prefix: str, obj, out: list[str]) -> None:
     if isinstance(obj, dict):
         for k in sorted(obj):
             _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], out)
-    elif isinstance(obj, list):
-        out.append(f"{prefix} = {json.dumps(obj)}")
     else:
         out.append(f"{prefix} = {json.dumps(obj)}")
 
@@ -113,11 +111,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             if not _ or not key:
                 raise ValueError(f"malformed parameter {item!r}; expected key=value")
             params[key.strip()] = int(value)
-    if args.family in ("S", "C"):
-        builder = extremal.gen_S if args.family == "S" else extremal.gen_C
-        hg = builder(**params)
-    else:
-        hg = extremal.gen_standard(args.family, **params)
+    hg = extremal.gen_standard(args.family, **params)
     print(json.dumps(hg.to_json_obj(), sort_keys=True))
     return 0
 
@@ -258,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--budget", type=int, default=None, help="search node budget")
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomised operations"
-    )
-    parser.add_argument(
         "--table", action="store_true", help="render the report as a table"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,7 +304,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, embedding.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from .core import (
     kernel_degree,
     min_shadow_degree,
 )
-from .trees import TreeCertificate, _is_tight, verify_certificate
+from .trees import TreeCertificate, _assert_valid, _is_tight
 
 FOUND = "found"
 NONE = "none"
@@ -264,9 +264,7 @@ def greedy_tree_embed(
     r = tree.require_uniform()
     if r < 2 or host.uniform_r != r:
         raise ValueError("host and tree must share the same uniformity (r >= 2)")
-    ok, _ = verify_certificate(tree, cert)
-    if not ok:
-        raise ValueError("invalid tree certificate")
+    _assert_valid(tree, cert)
     if not _is_tight(tree, cert.order, cert.parent):
         raise ValueError("greedy embedding requires a tight certificate")
     size = len(tree.support())

@@ -124,6 +124,8 @@ def _fur() -> Hypergraph:
 
 
 _FAMILIES = {
+    "S": gen_S,
+    "C": gen_C,
     "matching": _matching,
     "linear_star": _linear_star,
     "linear_cycle": _linear_cycle,
@@ -136,11 +138,13 @@ _FAMILIES = {
 
 
 def gen_standard(name: str, **params) -> Hypergraph:
-    """Standard forbidden-graph fixtures under canonical 0-based labels.
+    """Standard families by name under canonical 0-based labels.
 
-    Kernel/spine vertices come first in every family except ``ex511``,
-    whose two degree-3 hub vertices sit at ids 1 and 2.  ``ex511`` has
-    three minimum cross-cuts: ``{1,2}``, ``{3,5}`` and ``{4,6}``.
+    ``S`` and ``C`` are the constructions ``gen_S`` and ``gen_C``; the
+    rest are forbidden-graph fixtures.  Kernel/spine vertices come first
+    in every family except ``ex511``, whose two degree-3 hub vertices sit
+    at ids 1 and 2.  ``ex511`` has three minimum cross-cuts: ``{1,2}``,
+    ``{3,5}`` and ``{4,6}``.
     """
     try:
         builder = _FAMILIES[name]
@@ -184,11 +188,6 @@ def phi_star_matching(p: int) -> int:
     if p < 2:
         raise ValueError("needs p >= 2")
     return p * (p - 1) if p % 2 else (p - 1) ** 2 + (p - 2) // 2
-
-
-def stability_exponent(r: int, sig: int) -> float:
-    """Error exponent 1/((r-2)(sigma+1)+1) quoted in reports (display only)."""
-    return 1.0 / ((r - 2) * (sig + 1) + 1)
 
 
 # -- the exact oracle ----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A tree certificate is an edge ordering plus a parent map witnessing the
 running-intersection property: every edge meets the union of its
-predecessors inside its parent edge.  Recognition is GYO-style ear
-removal with an exhaustive fallback; all transformation outputs are
-re-verified before they are returned.
+predecessors inside its parent edge.  Recognition is greedy GYO ear
+removal, which is polynomial and cannot get stuck on a tree, even with
+the first edge pinned (Beeri, Fagin, Maier & Yannakakis 1983); all
+transformation outputs are re-verified before they are returned.
 
 Certificate positions are 0-based: ``order`` is a permutation of edge
 indices and ``parent`` maps every position ``i >= 1`` to a position
@@ -112,9 +113,41 @@ def verify_certificate(hg: Hypergraph, cert: TreeCertificate) -> tuple[bool, dic
 
 
 def _assert_valid(hg: Hypergraph, cert: TreeCertificate) -> None:
-    ok, _ = verify_certificate(hg, cert)
-    if not ok:
-        raise ValueError("invalid tree certificate")
+    """Raise ValueError unless ``cert`` certifies ``hg``; builds no report."""
+    _check_shape(hg, cert)
+    sets = hg.edge_sets
+    seen: set[int] = set()
+    for i, oi in enumerate(cert.order):
+        e = sets[oi]
+        if i and not (e & seen) <= sets[cert.order[cert.parent[i]]]:
+            raise ValueError("invalid tree certificate")
+        seen |= e
+
+
+def _in_order(
+    out: Hypergraph, parent: dict[int, int]
+) -> tuple[Hypergraph, TreeCertificate]:
+    """``out`` with the checked certificate ordering its edges as listed."""
+    cert = TreeCertificate(
+        tuple(range(out.m)), parent, tight=_is_tight(out, range(out.m), parent)
+    )
+    _assert_valid(out, cert)
+    return out, cert
+
+
+def _induced(
+    hg: Hypergraph, cert: TreeCertificate, positions: Sequence[int]
+) -> tuple[Hypergraph, TreeCertificate]:
+    """Edges at ``positions`` (ascending), multi-edges kept, inherited parents.
+
+    Every position but the first must have its parent among ``positions``.
+    """
+    edges = [hg.edges[cert.order[i]] for i in positions]
+    out = Hypergraph(hg.n, edges, uniform_r=hg.uniform_r, allow_multi=hg.allow_multi)
+    index_of = {p: k for k, p in enumerate(positions)}
+    assert all(cert.parent[i] in index_of for i in positions[1:]), "parent left out"
+    parent = {k: index_of[cert.parent[i]] for k, i in enumerate(positions) if k}
+    return _in_order(out, parent)
 
 
 # -- recognition ----------------------------------------------------------
@@ -128,8 +161,10 @@ def _removal_order(
     Removes, step by step, an edge whose intersection with the union of
     the others lies inside one remaining edge; the reversed removal
     sequence is the ordering.  Greedy removal picks the highest index,
-    so the final ordering prefers low indices; a memoised exhaustive
-    search backs the greedy phase up, which matters for rooted queries.
+    so the final ordering prefers low indices.  Removing an ear keeps a
+    tree a tree, and a tree with two or more edges has two or more ears,
+    so greedy removal gets stuck, with or without the root pinned,
+    exactly when there is no ordering.
     """
     k = len(dist)
     if k == 0:
@@ -158,36 +193,9 @@ def _removal_order(
                 pick = (i, cov)
                 break
         if pick is None:
-            break
+            return None
         removal.append(pick)
         remaining = remaining - {pick[0]}
-
-    if len(remaining) > 1:
-        failed: set[frozenset[int]] = set()
-
-        def solve(rem: frozenset[int]) -> Optional[list[tuple[int, int]]]:
-            if len(rem) == 1:
-                only = next(iter(rem))
-                return [] if root_pos is None or only == root_pos else None
-            if rem in failed:
-                return None
-            for i in sorted(rem, reverse=True):
-                if root_pos is not None and i == root_pos:
-                    continue
-                cov = cover_for(rem, i)
-                if cov is None:
-                    continue
-                sub = solve(rem - {i})
-                if sub is not None:
-                    return [(i, cov)] + sub
-            failed.add(rem)
-            return None
-
-        seq = solve(frozenset(range(k)))
-        if seq is None:
-            return None
-        removal = seq
-        remaining = frozenset(range(k)) - {i for i, _ in seq}
 
     last = next(iter(remaining))
     order = [last] + [i for i, _ in reversed(removal)]
@@ -411,31 +419,6 @@ def compress(
     return out, cert_out
 
 
-def _dedupe_certified(
-    hg: Hypergraph, cert: TreeCertificate
-) -> tuple[Hypergraph, TreeCertificate]:
-    """Simple hypergraph (first copies, in certificate order) plus certificate."""
-    sets = hg.edge_sets
-    new_edges: list[Edge] = []
-    pos_of: dict[frozenset[int], int] = {}
-    parent: dict[int, int] = {}
-    for i, oi in enumerate(cert.order):
-        s = sets[oi]
-        if s in pos_of:
-            continue
-        p = len(new_edges)
-        new_edges.append(tuple(sorted(s)))
-        pos_of[s] = p
-        if p:
-            parent[p] = pos_of[sets[cert.order[cert.parent[i]]]]
-    out = Hypergraph(hg.n, new_edges, uniform_r=hg.uniform_r)
-    cert_out = TreeCertificate(
-        tuple(range(out.m)), parent, tight=_is_tight(out, range(out.m), parent)
-    )
-    _assert_valid(out, cert_out)
-    return out, cert_out
-
-
 def host_tree(
     sub: Hypergraph, tree: Hypergraph, cert: TreeCertificate
 ) -> tuple[Hypergraph, TreeCertificate]:
@@ -469,7 +452,7 @@ def host_tree(
         pe = sets[cur_cert.order[cur_cert.parent[pos]]]
         y = next(v for v in pe if v in classes[colour_of_x])
         cur, cur_cert = compress(cur, cur_cert, pos, x, y)
-    out, out_cert = _dedupe_certified(cur, cur_cert)
+    out, out_cert = trace_certified(cur, cur_cert, range(cur.n))
     assert out.support() == target
     out_sets = set(out.edge_sets)
     assert all(s in out_sets for s in sub.edge_sets)
@@ -487,22 +470,7 @@ def subtree_at(
     if not 0 <= x < hg.n:
         raise ValueError(f"vertex {x} out of range")
     sets = hg.edge_sets
-    positions = [i for i in range(hg.m) if x in sets[cert.order[i]]]
-    edges = [hg.edges[cert.order[i]] for i in positions]
-    out = Hypergraph(hg.n, edges, uniform_r=hg.uniform_r, allow_multi=hg.allow_multi)
-    index_of = {p: k for k, p in enumerate(positions)}
-    parent: dict[int, int] = {}
-    for k, i in enumerate(positions):
-        if k == 0:
-            continue
-        p = cert.parent[i]
-        assert p in index_of, "parent of a non-first edge through x contains x"
-        parent[k] = index_of[p]
-    cert_out = TreeCertificate(
-        tuple(range(out.m)), parent, tight=_is_tight(out, range(out.m), parent)
-    )
-    _assert_valid(out, cert_out)
-    return out, cert_out
+    return _induced(hg, cert, [i for i in range(hg.m) if x in sets[cert.order[i]]])
 
 
 @dataclass(frozen=True)
@@ -539,21 +507,9 @@ def detach_limb(
     }
     w = max(s, key=lambda v: first_cover[v])
     limb, limb_cert = subtree_at(hg, cert, w)
-    positions = [i for i in range(hg.m) if w not in sets[cert.order[i]]]
-    rest_edges = [hg.edges[cert.order[i]] for i in positions]
-    rest = Hypergraph(hg.n, rest_edges, uniform_r=hg.uniform_r, allow_multi=hg.allow_multi)
-    index_of = {p: k for k, p in enumerate(positions)}
-    parent: dict[int, int] = {}
-    for k, i in enumerate(positions):
-        if k == 0:
-            continue
-        p = cert.parent[i]
-        assert p in index_of, "parent of a rest edge stays in the rest"
-        parent[k] = index_of[p]
-    rest_cert = TreeCertificate(
-        tuple(range(rest.m)), parent, tight=_is_tight(rest, range(rest.m), parent)
+    rest, rest_cert = _induced(
+        hg, cert, [i for i in range(hg.m) if w not in sets[cert.order[i]]]
     )
-    _assert_valid(rest, rest_cert)
     k0 = first_cover[w]
     assert k0 >= 1, "a 2+ cross-cut cannot be covered entirely by the first edge"
     limb_edge = hg.edges[cert.order[k0]]
@@ -592,11 +548,7 @@ def trace_certified(
         ps = sets[cert.order[cert.parent[i]]] & keep_set
         parent[p] = pos_of[ps] if ps and ps in pos_of else 0
     out = Hypergraph(hg.n, new_edges, uniform_r=_infer_r(new_edges))
-    cert_out = TreeCertificate(
-        tuple(range(out.m)), parent, tight=_is_tight(out, range(out.m), parent)
-    )
-    _assert_valid(out, cert_out)
-    return out, cert_out
+    return _in_order(out, parent)
 
 
 def remove_certified(

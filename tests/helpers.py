@@ -113,6 +113,35 @@ def brute_kernel_degree(hg: Hypergraph, kernel: Iterable[int], cap: int) -> int:
     return best
 
 
+def brute_tree_ordering(hg: Hypergraph, root: Optional[int] = None) -> Optional[list[int]]:
+    """Some ordering of the distinct edges with the running-intersection
+    property, or None.  Searches the permutations with the first edge
+    pinned (to ``root``'s edge when given); a prefix that already fails
+    the property is not extended, since every prefix of an ordering is
+    one.  Returns indices into the distinct edges in first-seen order."""
+    dist = list(dict.fromkeys(hg.edge_sets))
+    if not dist:
+        return []
+    firsts = range(len(dist)) if root is None else [dist.index(hg.edge_sets[root])]
+
+    def extend(order: list[int], union: frozenset[int]) -> Optional[list[int]]:
+        if len(order) == len(dist):
+            return order
+        for i in range(len(dist)):
+            if i in order or not any((dist[i] & union) <= dist[j] for j in order):
+                continue
+            found = extend(order + [i], union | dist[i])
+            if found is not None:
+                return found
+        return None
+
+    for first in firsts:
+        found = extend([first], dist[first])
+        if found is not None:
+            return found
+    return None
+
+
 def random_tree(
     rng: random.Random, r: int, max_edges: int, tight: bool = False
 ) -> tuple[Hypergraph, TreeCertificate]:

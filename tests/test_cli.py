@@ -88,6 +88,15 @@ def test_construct_unknown_family(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "family, params", [("S", "n=5,r=3"), ("C", "n=5,r=3,q=1")]
+)
+def test_construct_bad_parameters_usage_error(capsys, family, params):
+    code, out, err = run(capsys, "construct", "--family", family, "--params", params)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad parameters") and err.count("\n") == 1
+
+
 def test_shadow_command(tmp_path, capsys, t3):
     path = write(tmp_path, "t3.json", t3)
     code, out, _ = run(capsys, "shadow", path, "-p", "2")
@@ -175,11 +184,58 @@ def test_verify_missing_vs_nonm(tmp_path, capsys, m2):
     assert code == 0 and json.loads(out)["results"]["holds"]
 
 
+def test_verify_budget_exhausted_is_usage_error(tmp_path, capsys, c34):
+    import random
+
+    from helpers import random_hypergraph
+
+    g = write(tmp_path, "g.json", random_hypergraph(random.Random(0), 9, 3, 20))
+    m = write(tmp_path, "c34.json", c34)
+    code, out, err = run(capsys, "--budget", "10", "verify", "--prop", "9.1", g, m)
+    assert code == 2 and out == ""
+    assert err == "error: search budget of 10 nodes exhausted\n"
+
+
 def test_table_rendering(tmp_path, capsys, t3):
     path = write(tmp_path, "t3.json", t3)
     code, out, _ = run(capsys, "--table", "tau", path)
     assert code == 0
     assert "results.value = 1" in out
+
+
+def test_table_analyze_certify(tmp_path, capsys, t3):
+    path = write(tmp_path, "t3.json", t3)
+    code, out, _ = run(capsys, "--table", "analyze", path, "--certify")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == 'command = "analyze"'
+    assert lines[1].startswith(f"inputs.{path} = ")
+    assert lines[2:-1] == [
+        "results.certificate.order = [0, 1, 2]",
+        "results.certificate.parent.1 = 0",
+        "results.certificate.parent.2 = 1",
+        "results.certificate.tight = true",
+        "results.edge_count = 3",
+        "results.multi = false",
+        "results.n = 5",
+        "results.partition = [[0, 3], [1, 4], [2]]",
+        "results.r = 3",
+        "results.reducibility = 0",
+        "results.sigma = 1",
+        "results.sigma_witness = [2]",
+        "results.tau = 1",
+        "results.tau_witness = [2]",
+        "results.tight = true",
+        "results.tree = true",
+    ]
+    assert lines[-1].startswith("timing_s = ")
+
+
+def test_seed_flag_is_gone(tmp_path, t3):
+    path = write(tmp_path, "t3.json", t3)
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "0", "tau", path])
+    assert exc.value.code == 2
 
 
 def test_console_script_runs(tmp_path, t3):

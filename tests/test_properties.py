@@ -2,8 +2,9 @@
 
 import random
 
-from helpers import random_tree
+from helpers import brute_tree_ordering, random_hypergraph, random_tree
 from hgx import (
+    Hypergraph,
     compress,
     find_tree_ordering,
     is_crosscut,
@@ -55,6 +56,34 @@ def test_tree_operations_preserve_treeness():
         classes = r_partition(hg, found)
         for e in hg.edge_sets:
             assert all(len(e & c) == 1 for c in classes)
+
+
+def test_recognition_matches_brute_force_ordering_search():
+    # Ear removal has no backtracking, so a second route checks that it
+    # never misses an ordering: plain search over edge permutations.
+    rng = random.Random(131)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        r = rng.choice([2, 3, 4])
+        kind = rng.randrange(3)
+        if kind == 2:
+            hg = random_hypergraph(rng, rng.randint(r, r + 4), r, rng.randint(1, 6))
+        else:
+            hg, _ = random_tree(rng, r, 6 - kind)
+            if kind == 1:
+                extra = sorted(rng.sample(sorted(hg.support()), r))
+                edges = list(dict.fromkeys(hg.edges + (tuple(extra),)))
+                hg = Hypergraph(hg.n, edges, uniform_r=r)
+        for root in [None, *range(hg.m)]:
+            found = find_tree_ordering(hg, root=root)
+            expected = brute_tree_ordering(hg, root)
+            assert (found is None) == (expected is None), (hg.edges, root)
+            if found is not None:
+                assert verify_certificate(hg, found)[0]
+                if root is not None:
+                    assert hg.edge_sets[found.order[0]] == hg.edge_sets[root]
+            answers[found is None] += 1
+    assert min(answers.values()) >= 200, answers
 
 
 def test_compression_keeps_certificates():

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 import random
 
@@ -85,6 +87,33 @@ def test_fur_is_not_a_tree():
     assert find_tree_ordering(gen_standard("fur")) is None
 
 
+def _triangle_with_pendants(pendants):
+    """Linear triangle on core vertices 0, 1, 2 with pendant edges, each a
+    core vertex (in turn) plus two fresh vertices.  Not a tree."""
+    edges = [[0, 1, 3], [1, 2, 4], [0, 2, 5]]
+    for k in range(pendants):
+        edges.append([k % 3, 6 + 2 * k, 7 + 2 * k])
+    return Hypergraph(6 + 2 * pendants, edges, uniform_r=3)
+
+
+def test_triangle_with_many_pendants_is_rejected_fast():
+    g = _triangle_with_pendants(40)
+    assert find_tree_ordering(g) is None
+    assert find_tree_ordering(g, root=0) is None
+    assert find_tree_ordering(g, root=g.m - 1) is None
+
+
+def test_rejection_leaves_no_cyclic_garbage():
+    g = _triangle_with_pendants(12)
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_tree_ordering(g) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- verification -----------------------------------------------------------
 
 
@@ -110,6 +139,31 @@ def test_verify_rejects_malformed(t3):
         verify_certificate(t3, TreeCertificate(order=(0, 1, 2), parent={1: 0, 2: 2}))
     with pytest.raises(ValueError):
         verify_certificate(t3, TreeCertificate(order=(0, 1), parent={1: 0}))
+
+
+# The parent of the last edge misses vertex 3, which it shares with the
+# edge before it.
+BAD_T3 = TreeCertificate(order=(0, 1, 2), parent={1: 0, 2: 0})
+
+
+def test_transforms_reject_invalid_certificate(t3):
+    assert not verify_certificate(t3, BAD_T3)[0]
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        tighten(t3, BAD_T3)
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        r_partition(t3, BAD_T3)
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        compress(t3, BAD_T3, 1, 3, 0)
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        subtree_at(t3, BAD_T3, 2)
+
+
+def test_greedy_embed_rejects_invalid_certificate(t3):
+    from hgx import greedy_tree_embed
+
+    host = Hypergraph(8, list(itertools.combinations(range(8), 3)), uniform_r=3)
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        greedy_tree_embed(t3, BAD_T3, host, {0: 0, 1: 1, 2: 2})
 
 
 def test_certificate_json_round_trip(t3):
