@@ -52,7 +52,7 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _report(args: argparse.Namespace, command: str, inputs: dict, results: dict, started: float) -> dict:
+def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
     return {
         "command": command,
         "inputs": inputs,
@@ -99,7 +99,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.certify:
         results["certificate"] = cert.to_json_obj() if cert is not None else None
-    _emit(args, _report(args, "analyze", {args.file: digest}, results, started))
+    _emit(args, _report("analyze", {args.file: digest}, results, started))
     return 0
 
 
@@ -127,7 +127,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     hg, digest = _load(args.file)
     value, witness = covers.tau(hg)
     results = {"value": value, "witness": sorted(witness.vertices), "optimal": True}
-    _emit(args, _report(args, "tau", {args.file: digest}, results, started))
+    _emit(args, _report("tau", {args.file: digest}, results, started))
     return 0
 
 
@@ -140,7 +140,7 @@ def cmd_sigma(args: argparse.Namespace) -> int:
         "witness": sorted(witness.vertices) if witness else None,
         "optimal": True,
     }
-    _emit(args, _report(args, "sigma", {args.file: digest}, results, started))
+    _emit(args, _report("sigma", {args.file: digest}, results, started))
     return 0
 
 
@@ -154,10 +154,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         "map": {str(k): v for k, v in sorted(res.map.items())} if res.map else None,
         "nodes": res.nodes,
     }
-    _emit(
-        args,
-        _report(args, "embed", {args.pattern: d1, args.host: d2}, results, started),
-    )
+    _emit(args, _report("embed", {args.pattern: d1, args.host: d2}, results, started))
     return 0
 
 
@@ -171,7 +168,7 @@ def cmd_turan(args: argparse.Namespace) -> int:
         "nodes": res.nodes,
         "certified": res.certified,
     }
-    _emit(args, _report(args, "turan", {args.forbid: digest}, results, started))
+    _emit(args, _report("turan", {args.forbid: digest}, results, started))
     return 0
 
 
@@ -242,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         passed = check.holds
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown property {prop!r}")
-    _emit(args, _report(args, f"verify {prop}", inputs, results, started))
+    _emit(args, _report(f"verify {prop}", inputs, results, started))
     return 0 if passed else 1
 
 

@@ -116,23 +116,25 @@ def _min_crosscuts(hg: Hypergraph) -> tuple[Optional[int], list[frozenset[int]]]
             incident.setdefault(v, []).append(i)
 
     best: Optional[int] = None
-    solutions: list[frozenset[int]] = []
+    # One search keeps every cut at the running minimum.  Its cap never
+    # falls below the final minimum and its branching depends only on
+    # ``hit``, so it visits every minimum cut.  Cuts are kept as tuples, a
+    # sixth the size of frozensets: thousands may pile up at a size above
+    # the final minimum before a smaller cut clears them.
+    solutions: list[tuple[int, ...]] = []
 
-    def search(chosen: list[int], hit: list[bool], limit: Optional[int], collect: bool) -> None:
-        nonlocal best, solutions
+    def search(chosen: list[int], hit: list[bool]) -> None:
+        nonlocal best
         unhit = [i for i, h in enumerate(hit) if not h]
         if not unhit:
-            if collect:
-                solutions.append(frozenset(chosen))
-            elif best is None or len(chosen) < best:
+            if best is None or len(chosen) < best:
                 best = len(chosen)
+                solutions.clear()
+            solutions.append(tuple(chosen))
             return
-        if limit is not None and len(chosen) >= limit:
-            return
-        cap = limit if limit is not None else (best if best is not None else None)
-        if cap is not None:
+        if best is not None:
             disjoint = _matching_lower_bound([edges[i] for i in unhit])
-            if len(chosen) + disjoint > cap:
+            if len(chosen) + disjoint > best:
                 return
         # fail-first: branch on the unhit edge with fewest feasible vertices
         def feasible(i: int) -> list[int]:
@@ -141,8 +143,6 @@ def _min_crosscuts(hg: Hypergraph) -> tuple[Optional[int], list[frozenset[int]]]
         options = [(feasible(i), i) for i in unhit]
         options.sort(key=lambda t: len(t[0]))
         verts, _ = options[0]
-        if not verts:
-            return
         for v in verts:
             marked = []
             for j in incident[v]:
@@ -150,16 +150,15 @@ def _min_crosscuts(hg: Hypergraph) -> tuple[Optional[int], list[frozenset[int]]]
                     hit[j] = True
                     marked.append(j)
             chosen.append(v)
-            search(chosen, hit, limit, collect)
+            search(chosen, hit)
             chosen.pop()
             for j in marked:
                 hit[j] = False
 
-    search([], [False] * len(edges), None, collect=False)
+    search([], [False] * len(edges))
     if best is None:
         return None, []
-    search([], [False] * len(edges), best, collect=True)
-    uniq = sorted(set(solutions), key=lambda s: sorted(s))
+    uniq = sorted({frozenset(s) for s in solutions}, key=sorted)
     assert all(len(s) == best for s in uniq)
     return best, uniq
 

@@ -209,10 +209,6 @@ def _colex_universe(n: int, r: int) -> list[frozenset[int]]:
     return out
 
 
-class _OracleStop(Exception):
-    pass
-
-
 def turan_oracle(
     n: int, r: int, pattern: Hypergraph, budget: Optional[int] = None
 ) -> OracleResult:
@@ -248,29 +244,31 @@ def turan_oracle(
     best = len(best_edges)
     current: list[frozenset[int]] = []
     nodes = 0
-
-    def dfs(idx: int) -> None:
-        nonlocal nodes, best, best_edges
+    certified = True
+    # Depth-first over universe indices: ``idx`` visits the node that
+    # decides universe[idx]; ``~idx`` pops it from ``current`` once its
+    # include subtree is done.
+    stack = [0]
+    while stack:
+        idx = stack.pop()
+        if idx < 0:
+            current.pop()
+            continue
         nodes += 1
         if budget is not None and nodes > budget:
-            raise _OracleStop
+            certified = False
+            break
         if len(current) + (total - idx) <= best or idx == total:
-            return
+            continue
+        stack.append(idx + 1)
         e = universe[idx]
         if not contains_anchored(pattern, current, e):
             current.append(e)
             if len(current) > best:
                 best = len(current)
                 best_edges = list(current)
-            dfs(idx + 1)
-            current.pop()
-        dfs(idx + 1)
-
-    certified = True
-    try:
-        dfs(0)
-    except _OracleStop:
-        certified = False
+            stack.append(~idx)
+            stack.append(idx + 1)
 
     witness = Hypergraph(n, sorted(tuple(sorted(e)) for e in best_edges), uniform_r=r)
     if certified:

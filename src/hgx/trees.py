@@ -4,8 +4,10 @@ A tree certificate is an edge ordering plus a parent map witnessing the
 running-intersection property: every edge meets the union of its
 predecessors inside its parent edge.  Recognition is greedy GYO ear
 removal, which is polynomial and cannot get stuck on a tree, even with
-the first edge pinned (Beeri, Fagin, Maier & Yannakakis 1983); all
-transformation outputs are re-verified before they are returned.
+the first edge pinned (Beeri, Fagin, Maier & Yannakakis 1983); tight
+recognition is also a single greedy pass, adding one edge and one new
+vertex at a time.  All transformation outputs are re-verified before
+they are returned.
 
 Certificate positions are 0-based: ``order`` is a permutation of edge
 indices and ``parent`` maps every position ``i >= 1`` to a position
@@ -207,51 +209,52 @@ def _removal_order(
 def _tight_order(
     dist: list[frozenset[int]], root_pos: Optional[int]
 ) -> Optional[tuple[list[int], dict[int, int]]]:
-    """Backtracking search for a tight ordering of distinct uniform edges.
+    """Tight ordering of distinct uniform edges by one forward greedy pass.
 
-    Prunes on the one-new-vertex rule and memoises failed used-edge sets;
-    whether a partial ordering extends depends only on that set.
+    Starts at the root (edge 0 when none is given) and keeps adding the
+    lowest-index unused edge that has exactly one vertex outside the
+    union so far and whose overlap with it lies in a placed edge; the
+    first such placed edge is its parent.  Greedy cannot get stuck on a
+    tight tree, so None means there is no tight ordering:
+
+    1. k distinct r-sets with a tight ordering span r+k-1 vertices.
+    2. In any tree ordering of them each later edge adds at least one
+       vertex, so by 1 exactly one: every tree ordering of a tight tree
+       is tight.
+    3. Every edge starts some tree ordering (BFMY, as in
+       ``_removal_order``), so every edge starts a tight ordering.
+    4. Let S be a tight prefix short of all edges, T a tight ordering
+       starting at S's first edge and g the first edge of T outside S.
+       Every edge of T adds a vertex unseen before it, so S plus g spans
+       at least r+|S| vertices and g's new vertex lies outside the union
+       of S; g's overlap with that union then lies in its parent, which
+       is in S.  So g qualifies.
     """
     k = len(dist)
     if k == 0:
         return [], {}
     if len({len(e) for e in dist}) != 1:
         return None
-    failed: set[frozenset[int]] = set()
-    order: list[int] = []
+    start = 0 if root_pos is None else root_pos
+    order = [start]
     parent: dict[int, int] = {}
-
-    def dfs(union: frozenset[int]) -> bool:
-        if len(order) == k:
-            return True
-        used = frozenset(order)
-        if used in failed:
-            return False
-        for i in range(k):
-            if i in used:
-                continue
-            if len(dist[i] - union) != 1:
-                continue
+    union = dist[start]
+    unused = [i for i in range(k) if i != start]
+    while unused:
+        for i in unused:
             overlap = dist[i] & union
-            par = next((p for p in range(len(order)) if overlap <= dist[order[p]]), None)
-            if par is None:
+            if len(dist[i]) - len(overlap) != 1:
                 continue
-            parent[len(order)] = par
-            order.append(i)
-            if dfs(union | dist[i]):
-                return True
-            order.pop()
-            del parent[len(order)]
-        failed.add(used)
-        return False
-
-    for start in [root_pos] if root_pos is not None else range(k):
-        order.clear()
-        parent.clear()
-        order.append(start)
-        if dfs(dist[start]):
-            return list(order), dict(parent)
-    return None
+            par = next((p for p, j in enumerate(order) if overlap <= dist[j]), None)
+            if par is not None:
+                break
+        else:
+            return None
+        parent[len(order)] = par
+        order.append(i)
+        unused.remove(i)
+        union |= dist[i]
+    return order, parent
 
 
 def find_tree_ordering(

@@ -142,6 +142,40 @@ def brute_tree_ordering(hg: Hypergraph, root: Optional[int] = None) -> Optional[
     return None
 
 
+def brute_tight_ordering(hg: Hypergraph, root: Optional[int] = None) -> Optional[list[int]]:
+    """Some tight ordering of the edges, or None.  The edges must all be
+    r-sets for one r; every edge after the first adds exactly one vertex
+    not seen before (so a repeated edge rules an ordering out) and meets
+    the earlier edges inside a single one of them.  Searches the
+    permutations with the first edge pinned (to ``root`` when given); a
+    prefix that already fails is not extended.  Returns edge indices."""
+    sets = hg.edge_sets
+    if not sets:
+        return []
+    if len({len(e) for e in sets}) != 1:
+        return None
+    firsts = range(len(sets)) if root is None else [root]
+
+    def extend(order: list[int], union: frozenset[int]) -> Optional[list[int]]:
+        if len(order) == len(sets):
+            return order
+        for i in range(len(sets)):
+            if i in order or len(sets[i] - union) != 1:
+                continue
+            if not any((sets[i] & union) <= sets[j] for j in order):
+                continue
+            found = extend(order + [i], union | sets[i])
+            if found is not None:
+                return found
+        return None
+
+    for first in firsts:
+        found = extend([first], sets[first])
+        if found is not None:
+            return found
+    return None
+
+
 def random_tree(
     rng: random.Random, r: int, max_edges: int, tight: bool = False
 ) -> tuple[Hypergraph, TreeCertificate]:

@@ -152,6 +152,16 @@ def test_turan_command(tmp_path, capsys, triangle):
     assert witness.m == 6
 
 
+def test_turan_budget_on_a_deep_universe(tmp_path, capsys, m2):
+    path = write(tmp_path, "m2.json", m2)
+    code, out, err = run(
+        capsys, "--budget", "1000", "turan", "-n", "21", "-r", "3", "--forbid", path
+    )
+    res = json.loads(out)["results"]
+    assert code == 0 and err == ""
+    assert res["certified"] is False and res["value"] == 190
+
+
 def test_verify_kk(tmp_path, capsys, k35):
     path = write(tmp_path, "k35.json", k35)
     code, out, _ = run(capsys, "verify", "--prop", "kk", path, "-p", "2")

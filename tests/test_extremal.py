@@ -130,6 +130,7 @@ def test_oracle_matching(m2):
     res = turan_oracle(6, 3, m2)
     assert res.value == 10
     assert res.certified
+    assert res.nodes == 38578  # a changed traversal shows up here
     assert res.witness.m == 10
     assert is_free(res.witness, m2)
     # the witness is the full star of vertex 0
@@ -139,6 +140,17 @@ def test_oracle_matching(m2):
 def test_oracle_triangle(triangle):
     res = turan_oracle(5, 2, triangle)
     assert res.value == 6 and res.certified
+    assert res.nodes == 182
+
+
+def test_oracle_triples_sharing_a_pair():
+    # free of two triples on a common pair = every pair in at most one
+    # triple: a partial Steiner triple system, at most 4 triples on 6 points
+    pair = Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3)
+    res = turan_oracle(6, 3, pair)
+    assert res.value == 4 and res.certified
+    assert res.nodes == 1074
+    assert is_free(res.witness, pair)
 
 
 def test_oracle_budget_returns_partial(m2):
@@ -146,6 +158,15 @@ def test_oracle_budget_returns_partial(m2):
     assert not res.certified
     assert res.value >= 10  # the seed construction is already optimal here
     assert is_free(res.witness, m2)
+
+
+def test_oracle_budget_on_a_deep_universe(m2):
+    # the universe has 1,330 triples, so the search runs 1,330 levels deep,
+    # past Python's recursion limit
+    res = turan_oracle(21, 3, m2, budget=1000)
+    assert not res.certified
+    assert res.value == 190 and res.nodes == 1001
+    assert res.witness.m == 190
 
 
 def test_oracle_dominates_lower_bounds(m2, l32, triangle):

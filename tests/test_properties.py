@@ -2,7 +2,7 @@
 
 import random
 
-from helpers import brute_tree_ordering, random_hypergraph, random_tree
+from helpers import brute_tight_ordering, brute_tree_ordering, random_hypergraph, random_tree
 from hgx import (
     Hypergraph,
     compress,
@@ -82,6 +82,43 @@ def test_recognition_matches_brute_force_ordering_search():
                 assert verify_certificate(hg, found)[0]
                 if root is not None:
                     assert hg.edge_sets[found.order[0]] == hg.edge_sets[root]
+            answers[found is None] += 1
+    assert min(answers.values()) >= 200, answers
+
+
+def test_tight_recognition_matches_brute_force_ordering_search():
+    # Tight recognition is a forward greedy pass with no backtracking; the
+    # second route is plain search over edge permutations.
+    rng = random.Random(137)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        kind = rng.randrange(4)
+        if kind == 3:
+            hg = random_hypergraph(rng, rng.randint(r, r + 3), r, rng.randint(1, 6))
+        else:
+            hg, _ = random_tree(rng, r, 6 - kind, tight=kind < 2)
+            if kind == 1:
+                # replace one edge of a tight tree by a random r-set, or add one
+                edges = list(hg.edges)
+                if hg.m > 1 and rng.random() < 0.5:
+                    edges.pop(rng.randrange(hg.m))
+                edges.append(tuple(sorted(rng.sample(range(hg.n + 1), r))))
+                hg = Hypergraph(hg.n + 1, list(dict.fromkeys(edges)), uniform_r=r)
+        for root in [None, *range(hg.m)]:
+            found = find_tree_ordering(hg, root=root, require_tight=True)
+            expected = brute_tight_ordering(hg, root)
+            assert (found is None) == (expected is None), (hg.edges, root)
+            if found is not None:
+                assert found.tight and verify_certificate(hg, found)[0]
+                seen = set(hg.edge_sets[found.order[0]])
+                for pos in range(1, hg.m):
+                    e = hg.edge_sets[found.order[pos]]
+                    assert len(e - seen) == 1
+                    assert len(e & hg.edge_sets[found.order[found.parent[pos]]]) == r - 1
+                    seen |= e
+                if root is not None:
+                    assert found.order[0] == root
             answers[found is None] += 1
     assert min(answers.values()) >= 200, answers
 

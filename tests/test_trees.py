@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -103,15 +104,36 @@ def test_triangle_with_many_pendants_is_rejected_fast():
     assert find_tree_ordering(g, root=g.m - 1) is None
 
 
+def _tight_star_with_loose_edge(k):
+    """k triples on the pair 0, 1 plus an edge meeting them only in vertex
+    0.  A tree, but not a tight one: the last edge adds two vertices."""
+    n = k + 2
+    edges = [[0, 1, 2 + i] for i in range(k)] + [[0, n, n + 1]]
+    return Hypergraph(n + 2, edges, uniform_r=3)
+
+
+def test_tight_star_with_loose_edge_is_rejected_fast():
+    g = _tight_star_with_loose_edge(40)
+    assert find_tree_ordering(g) is not None
+    started = time.perf_counter()
+    for root in (None, 0, g.m - 1):
+        assert find_tree_ordering(g, root=root, require_tight=True) is None
+    assert time.perf_counter() - started < 0.1
+
+
 def test_rejection_leaves_no_cyclic_garbage():
-    g = _triangle_with_pendants(12)
-    gc.collect()
-    gc.disable()
-    try:
-        assert find_tree_ordering(g) is None
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    cases = [
+        (_triangle_with_pendants(12), False),
+        (_tight_star_with_loose_edge(12), True),
+    ]
+    for g, require_tight in cases:
+        gc.collect()
+        gc.disable()
+        try:
+            assert find_tree_ordering(g, require_tight=require_tight) is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # -- verification -----------------------------------------------------------
