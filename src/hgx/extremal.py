@@ -3,8 +3,10 @@
 The two lower-bound constructions (all r-sets meeting a t-set; all
 r-sets meeting it exactly once) come with closed-form sizes that are
 asserted at generation time.  The oracle maximises an H-free family by
-include/exclude branch and bound over the colex-ordered edge universe,
-checking new copies anchored at the edge just added.
+include/exclude branch and bound over the colex-ordered edge universe.
+It lists every copy of the pattern in the complete r-graph once, then
+forward-checks on per-copy counters: an edge that would complete a copy
+is blocked, and each node is bounded by the edges still unblocked.
 """
 
 from __future__ import annotations
@@ -209,16 +211,113 @@ def _colex_universe(n: int, r: int) -> list[frozenset[int]]:
     return out
 
 
+def _pattern_copies(
+    pattern: Hypergraph, n: int, universe: Sequence[frozenset[int]]
+) -> list[tuple[int, ...]]:
+    """Every copy of the pattern in the complete r-graph on n vertices.
+
+    Each injective map of the pattern's support into range(n) gives a
+    copy: the sorted tuple of the universe indices of its edge images.
+    Maps that differ by an automorphism give the same copy, kept once.
+    """
+    index = {e: i for i, e in enumerate(universe)}
+    support = sorted(pattern.support())
+    place = {v: k for k, v in enumerate(support)}
+    edges = [[place[v] for v in e] for e in dict.fromkeys(pattern.edge_sets)]
+    copies = {
+        tuple(sorted(index[frozenset(image[k] for k in e)] for e in edges))
+        for image in itertools.permutations(range(n), len(support))
+    }
+    return list(copies)
+
+
+def _search(
+    total: int, copies: Sequence[tuple[int, ...]], best: int, limit: Optional[int]
+) -> tuple[Optional[list[int]], int, bool]:
+    """Include/exclude search over universe indices 0..total-1 for the
+    largest family containing no copy, if it is larger than ``best``.
+
+    Returns the first such maximum in include-first order (None when
+    none beats ``best``), the number of search nodes, and whether the
+    search finished within ``limit`` nodes.
+
+    Forward checking: per copy, ``left`` counts the edges not yet
+    included and ``rest`` sums their indices.  Once a copy has one edge
+    left, that edge (``rest``) is blocked: it is exactly the edge that
+    would complete the copy.  A node is cut when the family plus every
+    unblocked edge still ahead cannot beat ``best``.
+    """
+    through: list[list[int]] = [[] for _ in range(total)]
+    for c, copy in enumerate(copies):
+        for j in copy:
+            through[j].append(c)
+    left = [len(copy) for copy in copies]
+    rest = [sum(copy) for copy in copies]
+    blocked = [0] * total
+    for copy in copies:
+        if len(copy) == 1:
+            blocked[copy[0]] += 1
+    current: list[int] = []
+    found: Optional[list[int]] = None
+    nodes = 0
+    # Depth-first.  (idx, ahead) visits the node that decides edge idx,
+    # where ``ahead`` counts the blocked edges from idx on; (~idx, 0)
+    # takes edge idx back out once its include subtree is done.
+    stack = [(0, sum(1 for b in blocked if b))]
+    while stack:
+        idx, ahead = stack.pop()
+        if idx < 0:
+            idx = ~idx
+            for c in through[idx]:
+                if left[c] == 1 and rest[c] > idx:
+                    blocked[rest[c]] -= 1
+                left[c] += 1
+                rest[c] += idx
+            current.pop()
+            continue
+        nodes += 1
+        if limit is not None and nodes > limit:
+            return found, nodes, False
+        if len(current) + (total - idx) - ahead <= best or idx == total:
+            continue
+        if blocked[idx]:
+            stack.append((idx + 1, ahead - 1))
+            continue
+        stack.append((idx + 1, ahead))
+        current.append(idx)
+        fresh = 0
+        for c in through[idx]:
+            left[c] -= 1
+            rest[c] -= idx
+            # an edge left behind idx was excluded already
+            if left[c] == 1 and rest[c] > idx:
+                blocked[rest[c]] += 1
+                fresh += blocked[rest[c]] == 1
+        if len(current) > best:
+            best = len(current)
+            found = list(current)
+        stack.append((~idx, 0))
+        stack.append((idx + 1, ahead + fresh))
+    return found, nodes, True
+
+
 def turan_oracle(
     n: int, r: int, pattern: Hypergraph, budget: Optional[int] = None
 ) -> OracleResult:
     """Exact maximum size of a pattern-free r-graph on n vertices.
 
     Include/exclude branch and bound over the colex edge universe, seeded
-    with the larger of the two lower-bound constructions.  A new copy of
-    the pattern must use the edge just added, so the forbidden-subgraph
-    check is anchored there.  When the node budget runs out the best
-    family so far is returned with ``certified=False``.
+    with the larger of the two lower-bound constructions.  Every copy of
+    the pattern in the complete r-graph is listed once before the search,
+    which then forward-checks on per-copy counters (see ``_search``).
+    The witness is the first maximum family in include-first colex
+    order; ``nodes`` counts search nodes.
+
+    The copy list costs one step per injective map of the pattern's
+    support, P(n, |support|), charged to ``budget`` before the search.
+    A budget too small for it returns the seed with ``certified=False``
+    and no search; one that runs out during the search returns the best
+    family so far, also with ``certified=False``.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
@@ -238,38 +337,19 @@ def turan_oracle(
     if not is_free(seed, pattern):
         raise RuntimeError("lower-bound seed contains the pattern; construction bug")
 
-    universe = _colex_universe(n, r)
-    total = len(universe)
-    best_edges = list(seed.edge_sets)
-    best = len(best_edges)
-    current: list[frozenset[int]] = []
+    best_edges: Sequence[Iterable[int]] = seed.edges
     nodes = 0
-    certified = True
-    # Depth-first over universe indices: ``idx`` visits the node that
-    # decides universe[idx]; ``~idx`` pops it from ``current`` once its
-    # include subtree is done.
-    stack = [0]
-    while stack:
-        idx = stack.pop()
-        if idx < 0:
-            current.pop()
-            continue
-        nodes += 1
-        if budget is not None and nodes > budget:
-            certified = False
-            break
-        if len(current) + (total - idx) <= best or idx == total:
-            continue
-        stack.append(idx + 1)
-        e = universe[idx]
-        if not contains_anchored(pattern, current, e):
-            current.append(e)
-            if len(current) > best:
-                best = len(current)
-                best_edges = list(current)
-            stack.append(~idx)
-            stack.append(idx + 1)
+    build = math.perm(n, len(pattern.support()))
+    certified = budget is None or build <= budget
+    if certified:
+        universe = _colex_universe(n, r)
+        copies = _pattern_copies(pattern, n, universe)
+        limit = None if budget is None else budget - build
+        found, nodes, certified = _search(len(universe), copies, seed.m, limit)
+        if found is not None:
+            best_edges = [universe[i] for i in found]
 
+    best = len(best_edges)
     witness = Hypergraph(n, sorted(tuple(sorted(e)) for e in best_edges), uniform_r=r)
     if certified:
         assert witness.m == best

@@ -60,10 +60,13 @@ def _check_shape(hg: Hypergraph, cert: TreeCertificate) -> None:
 
 
 def _is_tight(hg: Hypergraph, order: Sequence[int], parent: Mapping[int, int]) -> bool:
-    if hg.uniform_r is None:
-        return False
-    r = hg.uniform_r
+    # the edge size comes from the edges, so the answer does not depend
+    # on whether ``uniform_r`` was declared
     sets = hg.edge_sets
+    sizes = {len(e) for e in sets}
+    if len(sizes) > 1:
+        return False
+    r = next(iter(sizes), 0)
     order = list(order)
     return all(
         len(sets[order[i]] & sets[order[parent[i]]]) == r - 1

@@ -233,3 +233,15 @@ def all_tight_trees(r: int, max_vertices: int) -> list[Hypergraph]:
 
     grow([tuple(range(r))], r)
     return out
+
+
+def copy_hypergraph(n: int, r: int, pattern: Hypergraph) -> Hypergraph:
+    """Copies of the pattern in the complete r-graph on n vertices, as a
+    hypergraph whose vertices number the r-sets in lex order."""
+    number = {e: i for i, e in enumerate(itertools.combinations(range(n), r))}
+    support = sorted(pattern.support())
+    copies = set()
+    for image in itertools.permutations(range(n), len(support)):
+        amap = dict(zip(support, image))
+        copies.add(frozenset(number[tuple(sorted(amap[v] for v in e))] for e in pattern.edges))
+    return Hypergraph(len(number), [sorted(c) for c in copies])

@@ -130,7 +130,7 @@ def test_oracle_matching(m2):
     res = turan_oracle(6, 3, m2)
     assert res.value == 10
     assert res.certified
-    assert res.nodes == 38578  # a changed traversal shows up here
+    assert res.nodes == 2047  # a changed traversal shows up here
     assert res.witness.m == 10
     assert is_free(res.witness, m2)
     # the witness is the full star of vertex 0
@@ -140,7 +140,7 @@ def test_oracle_matching(m2):
 def test_oracle_triangle(triangle):
     res = turan_oracle(5, 2, triangle)
     assert res.value == 6 and res.certified
-    assert res.nodes == 182
+    assert res.nodes == 128
 
 
 def test_oracle_triples_sharing_a_pair():
@@ -149,7 +149,7 @@ def test_oracle_triples_sharing_a_pair():
     pair = Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3)
     res = turan_oracle(6, 3, pair)
     assert res.value == 4 and res.certified
-    assert res.nodes == 1074
+    assert res.nodes == 314
     assert is_free(res.witness, pair)
 
 
@@ -161,11 +161,11 @@ def test_oracle_budget_returns_partial(m2):
 
 
 def test_oracle_budget_on_a_deep_universe(m2):
-    # the universe has 1,330 triples, so the search runs 1,330 levels deep,
-    # past Python's recursion limit
+    # listing the copies of M2 among 21 vertices takes P(21, 6) steps, far
+    # past the budget, so the seed comes back without a search
     res = turan_oracle(21, 3, m2, budget=1000)
     assert not res.certified
-    assert res.value == 190 and res.nodes == 1001
+    assert res.value == 190 and res.nodes == 0
     assert res.witness.m == 190
 
 
@@ -189,6 +189,53 @@ def test_oracle_dominates_lower_bounds(m2, l32, triangle):
         assert res.value >= bound, (n, r, pattern)
         if exact is not None:
             assert res.value == exact, (n, r, pattern)
+
+
+def test_oracle_closed_forms(m2, l32, triangle):
+    pair = Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3)
+    fixtures = [
+        (8, 3, m2, math.comb(7, 2)),  # Erdos-Ko-Rado: the star of a vertex
+        (9, 3, m2, math.comb(8, 2)),
+        (8, 2, triangle, 16),  # Mantel: n^2 / 4
+        (8, 3, pair, 8),  # the largest partial Steiner triple system on 8 points
+        (8, 3, l32, 8),  # Frankl 1977
+    ]
+    for n, r, pattern, exact in fixtures:
+        res = turan_oracle(n, r, pattern)
+        assert res.certified and res.value == exact, (n, r, pattern)
+        assert res.witness.m == exact and is_free(res.witness, pattern)
+
+
+def test_oracle_witness_is_first_maximum_in_colex_order(m2, l32, triangle):
+    # the witness rule is part of the API, so the witnesses are literals
+    pair = Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3)
+    k4 = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    fano = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
+    k3_4 = [[0, v] for v in (1, 2, 3, 4)] + [[u, v] for u in (1, 2, 3, 4) for v in (5, 6)]
+    fixtures = [
+        (7, 3, l32, k4 + [[4, 5, 6]]),
+        (7, 3, pair, fano),
+        (7, 2, triangle, k3_4),
+    ]
+    for n, r, pattern, witness in fixtures:
+        res = turan_oracle(n, r, pattern)
+        assert res.certified and res.value == len(witness)
+        assert res.witness == Hypergraph(n, witness, uniform_r=r)
+    # a budget too small for the copy list returns the seed unsearched
+    res = turan_oracle(6, 3, m2, budget=50)
+    assert not res.certified and res.value == 10 and res.nodes == 0
+    assert res.witness == gen_S(6, 3, 1) and is_free(res.witness, m2)
+
+
+def test_oracle_matches_min_cover_of_copy_hypergraph(m2, l32, triangle):
+    from helpers import copy_hypergraph
+
+    pair = Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3)
+    cases = [(6, 3, m2), (6, 3, pair), (6, 3, l32), (5, 2, triangle), (7, 2, triangle)]
+    for n, r, pattern in cases:
+        # a pattern-free family is the complement of a cover of the copies
+        cover, _ = tau(copy_hypergraph(n, r, pattern))
+        assert turan_oracle(n, r, pattern).value == math.comb(n, r) - cover, (n, r)
 
 
 def test_oracle_rejects_bad_input(m2):

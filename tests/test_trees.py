@@ -42,6 +42,20 @@ def test_rooted_tight_recognition(t3):
     assert cert.tight
 
 
+def test_tight_flag_does_not_depend_on_declared_uniformity():
+    # t3's edges with no declared r: plain recognition infers the edge
+    # size and agrees with the tight search
+    g = Hypergraph(5, [[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+    plain = find_tree_ordering(g)
+    tight = find_tree_ordering(g, require_tight=True)
+    assert plain.order == tight.order == (0, 1, 2)
+    assert plain.parent == tight.parent == {1: 0, 2: 1}
+    assert plain.tight and tight.tight
+    mixed = Hypergraph(4, [[0, 1, 2], [2, 3]])
+    assert not find_tree_ordering(mixed).tight
+    assert find_tree_ordering(mixed, require_tight=True) is None
+
+
 def test_c34_is_not_a_tree(c34):
     assert find_tree_ordering(c34) is None
     assert find_tree_ordering(c34, require_tight=True) is None
