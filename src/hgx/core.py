@@ -4,6 +4,13 @@ Vertices are integers ``0..n-1``.  Edges are canonicalised to sorted
 tuples.  The edge *list* is ordered because tree certificates index into
 it; edge order is ignored by equality, which compares edge multisets.
 
+Every layer reads edges through three views on the carrier:
+``distinct_edges`` (repeats dropped, first appearances kept) and
+``incidence`` (vertex -> indices into ``distinct_edges``), both cached
+on first use, and ``extensions`` (the rests of the distinct edges
+through a partial image that avoid given vertices, scanned from the
+image's rarest vertex).
+
 Every operation here is a pure function of immutable values, so objects
 can be shared freely across threads.
 """
@@ -12,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from collections import Counter
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Edge = tuple[int, ...]
 
@@ -30,7 +38,7 @@ class Hypergraph:
     is a construction error.
     """
 
-    __slots__ = ("n", "edges", "uniform_r", "allow_multi", "_sets")
+    __slots__ = ("n", "edges", "uniform_r", "allow_multi", "_sets", "_distinct", "_incidence")
 
     def __init__(
         self,
@@ -54,6 +62,8 @@ class Hypergraph:
         self.uniform_r = uniform_r
         self.allow_multi = allow_multi
         self._sets: Optional[tuple[frozenset[int], ...]] = None
+        self._distinct: Optional[tuple[frozenset[int], ...]] = None
+        self._incidence: Optional[dict[int, list[int]]] = None
 
     # -- basic views ---------------------------------------------------
 
@@ -66,6 +76,38 @@ class Hypergraph:
         if self._sets is None:
             self._sets = tuple(frozenset(e) for e in self.edges)
         return self._sets
+
+    @property
+    def distinct_edges(self) -> tuple[frozenset[int], ...]:
+        """Edge sets without repeats, in order of first appearance."""
+        if self._distinct is None:
+            self._distinct = tuple(dict.fromkeys(self.edge_sets))
+        return self._distinct
+
+    @property
+    def incidence(self) -> dict[int, list[int]]:
+        """Vertex -> ascending indices into ``distinct_edges`` of its edges."""
+        if self._incidence is None:
+            self._incidence = {}
+            for i, e in enumerate(self.distinct_edges):
+                for v in e:
+                    self._incidence.setdefault(v, []).append(i)
+        return self._incidence
+
+    def extensions(self, img: Iterable[int], used: Collection[int] = ()) -> Iterator[frozenset[int]]:
+        """``e - img`` for each distinct edge ``e`` containing ``img`` whose
+        rest avoids ``used``, in edge order; empty when ``e == img``.
+
+        Only the edges through the rarest vertex of ``img`` are scanned.
+        """
+        img = frozenset(img)
+        edges, inc = self.distinct_edges, self.incidence
+        for i in min([inc.get(v, ()) for v in img], key=len) if img else range(len(edges)):
+            e = edges[i]
+            if img <= e:
+                rest = e - img
+                if rest.isdisjoint(used):
+                    yield rest
 
     def support(self) -> frozenset[int]:
         """Vertices incident to at least one edge."""
@@ -138,7 +180,8 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m}{r}{multi})"
 
 
-def _infer_r(edges: Sequence[Edge]) -> Optional[int]:
+def _infer_r(edges: Iterable[Collection[int]]) -> Optional[int]:
+    """The one edge size, or None when there are no edges or several sizes."""
     sizes = {len(e) for e in edges}
     return sizes.pop() if len(sizes) == 1 else None
 
@@ -177,7 +220,8 @@ def min_shadow_degree(hg: Hypergraph, i: int) -> int:
         raise ValueError("minimum shadow degree of an empty hypergraph")
     if not 1 <= i <= r - 1:
         raise ValueError(f"shadow order must lie in 1..{r - 1}")
-    return min(degree(hg, d) for d in shadow(hg, i).edges)
+    counts = Counter(d for e in hg.edges for d in itertools.combinations(e, i))
+    return min(counts[d] for d in shadow(hg, i).edges)
 
 
 # -- sunflowers and kernel degrees ---------------------------------------
@@ -219,15 +263,6 @@ def _pack_disjoint(
     return best, best_pick
 
 
-def _kernel_petals(hg: Hypergraph, kernel: frozenset[int]) -> dict[frozenset[int], int]:
-    """Distinct nonempty petals of edges through ``kernel`` -> edge index."""
-    petals: dict[frozenset[int], int] = {}
-    for idx, e in enumerate(hg.edge_sets):
-        if kernel <= e and e != kernel:
-            petals.setdefault(e - kernel, idx)
-    return petals
-
-
 def kernel_degree(hg: Hypergraph, kernel: Iterable[int], cap: int) -> int:
     """Largest s <= cap such that s edges pairwise intersect exactly in
     ``kernel`` (each with a nonempty petal).
@@ -237,8 +272,7 @@ def kernel_degree(hg: Hypergraph, kernel: Iterable[int], cap: int) -> int:
     """
     if cap < 1:
         raise ValueError("kernel degree cap must be positive")
-    d = frozenset(kernel)
-    petals = list(_kernel_petals(hg, d))
+    petals = [p for p in hg.extensions(kernel) if p]
     size, _ = _pack_disjoint(petals, cap)
     return size
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import Hypergraph
 
@@ -40,7 +40,7 @@ def is_crosscut(hg: Hypergraph, vertices: Iterable[int]) -> bool:
 def _distinct_edges(hg: Hypergraph) -> list[frozenset[int]]:
     if any(not e for e in hg.edge_sets):
         raise ValueError("covers are undefined when the empty set is an edge")
-    return list(dict.fromkeys(hg.edge_sets))
+    return list(hg.distinct_edges)
 
 
 def _matching_lower_bound(edges: list[frozenset[int]]) -> int:
@@ -104,63 +104,77 @@ def tau(hg: Hypergraph) -> tuple[int, Cover]:
     return value, Cover(frozenset(witness))
 
 
-def _min_crosscuts(hg: Hypergraph) -> tuple[Optional[int], list[frozenset[int]]]:
-    """Minimum exact-hitting-set size and all witnesses of that size."""
-    edges = _distinct_edges(hg)
-    if not edges:
-        return 0, [frozenset()]
+def _smallest_cut(
+    hg: Hypergraph, forced: tuple[int, ...], banned: frozenset[int], cap: int
+) -> Optional[int]:
+    """Size of the smallest cross-cut containing ``forced`` and avoiding
+    ``banned``, or None when there is none of size at most ``cap``.
 
-    incident: dict[int, list[int]] = {}
-    for i, e in enumerate(edges):
-        for v in e:
-            incident.setdefault(v, []).append(i)
+    Fail-first branch and bound: branch on the unhit edge with the fewest
+    usable vertices, and cut a node whose size plus the disjoint unhit
+    edges cannot beat the best cut so far.  No cut is kept.
+    """
+    edges, incident = hg.distinct_edges, hg.incidence
+    hit = [False] * len(edges)
+    for v in forced:
+        for j in incident[v]:
+            if hit[j]:
+                return None
+            hit[j] = True
+    best = cap + 1
 
-    best: Optional[int] = None
-    # One search keeps every cut at the running minimum.  Its cap never
-    # falls below the final minimum and its branching depends only on
-    # ``hit``, so it visits every minimum cut.  Cuts are kept as tuples, a
-    # sixth the size of frozensets: thousands may pile up at a size above
-    # the final minimum before a smaller cut clears them.
-    solutions: list[tuple[int, ...]] = []
+    def usable(i: int) -> list[int]:
+        return [
+            v for v in sorted(edges[i])
+            if v not in banned and not any(hit[j] for j in incident[v])
+        ]
 
-    def search(chosen: list[int], hit: list[bool]) -> None:
+    def search(size: int) -> None:
         nonlocal best
         unhit = [i for i, h in enumerate(hit) if not h]
-        if not unhit:
-            if best is None or len(chosen) < best:
-                best = len(chosen)
-                solutions.clear()
-            solutions.append(tuple(chosen))
+        if size + _matching_lower_bound([edges[i] for i in unhit]) >= best:
             return
-        if best is not None:
-            disjoint = _matching_lower_bound([edges[i] for i in unhit])
-            if len(chosen) + disjoint > best:
-                return
-        # fail-first: branch on the unhit edge with fewest feasible vertices
-        def feasible(i: int) -> list[int]:
-            return [v for v in sorted(edges[i]) if all(not hit[j] for j in incident[v])]
-
-        options = [(feasible(i), i) for i in unhit]
-        options.sort(key=lambda t: len(t[0]))
-        verts, _ = options[0]
-        for v in verts:
-            marked = []
+        if not unhit:
+            best = size
+            return
+        for v in min((usable(i) for i in unhit), key=len):
             for j in incident[v]:
-                if not hit[j]:
-                    hit[j] = True
-                    marked.append(j)
-            chosen.append(v)
-            search(chosen, hit)
-            chosen.pop()
-            for j in marked:
+                hit[j] = True
+            search(size + 1)
+            for j in incident[v]:
                 hit[j] = False
 
-    search([], [False] * len(edges))
-    if best is None:
-        return None, []
-    uniq = sorted({frozenset(s) for s in solutions}, key=sorted)
-    assert all(len(s) == best for s in uniq)
-    return best, uniq
+    search(len(forced))
+    return best if best <= cap else None
+
+
+def _min_crosscuts(hg: Hypergraph) -> Iterator[frozenset[int]]:
+    """Every minimum cross-cut, lexicographically ascending; none when
+    no cross-cut exists.
+
+    An ascending vertex walk, include first, that enters a branch only
+    when ``_smallest_cut`` finds a minimum cut left in it.  When no
+    minimum cut contains the vertex, one avoids it, unchecked.
+    """
+    _distinct_edges(hg)  # rejects an empty edge
+    vertices = sorted(hg.incidence)
+    value = _smallest_cut(hg, (), frozenset(), len(vertices))
+    if value is None:
+        return
+    # (position, forced, banned, whether a minimum cut is known to be left)
+    stack = [(0, (), frozenset(), True)]
+    while stack:
+        k, forced, banned, holds = stack.pop()
+        if not holds and _smallest_cut(hg, forced, banned, value) is None:
+            continue
+        if len(forced) == value:
+            yield frozenset(forced)
+            continue
+        take = forced + (vertices[k],)
+        inside = _smallest_cut(hg, take, banned, value) is not None
+        stack.append((k + 1, forced, banned | {vertices[k]}, not inside))
+        if inside:
+            stack.append((k + 1, take, banned, True))
 
 
 def sigma(hg: Hypergraph) -> tuple[float, Optional[CrossCut]]:
@@ -168,15 +182,15 @@ def sigma(hg: Hypergraph) -> tuple[float, Optional[CrossCut]]:
 
     The witness is the lexicographically least minimum cross-cut.
     """
-    value, sols = _min_crosscuts(hg)
-    if value is None:
+    cut = next(_min_crosscuts(hg), None)
+    if cut is None:
         return math.inf, None
-    return value, CrossCut(sols[0])
+    return len(cut), CrossCut(cut)
 
 
 def enumerate_min_crosscuts(hg: Hypergraph) -> list[CrossCut]:
     """All minimum cross-cuts, lexicographically sorted."""
-    value, sols = _min_crosscuts(hg)
-    if value is None:
+    cuts = [CrossCut(s) for s in _min_crosscuts(hg)]
+    if not cuts:
         raise ValueError("hypergraph has no cross-cut")
-    return [CrossCut(s) for s in sols]
+    return cuts

@@ -12,14 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import (
-    Edge,
-    Hypergraph,
-    _kernel_petals,
-    _pack_disjoint,
-    kernel_degree,
-    min_shadow_degree,
-)
+from .core import Edge, Hypergraph, _infer_r, _pack_disjoint, kernel_degree, min_shadow_degree
 from .trees import TreeCertificate, _assert_valid, _is_tight
 
 FOUND = "found"
@@ -66,37 +59,32 @@ def _verify_map(
         assert frozenset(amap[v] for v in e) in f_set, "edge image missing from host"
 
 
-def _is_uniform_matching(h_edges: Sequence[frozenset[int]]) -> bool:
-    sizes = {len(e) for e in h_edges}
-    if len(sizes) != 1:
-        return False
-    total = len({v for e in h_edges for v in e})
-    return total == next(iter(sizes)) * len(h_edges)
+def _is_uniform_matching(pattern: Hypergraph) -> bool:
+    r = _infer_r(pattern.distinct_edges)
+    return r is not None and len(pattern.incidence) == r * len(pattern.distinct_edges)
 
 
 def _backtrack_embed(
-    h_edges: list[frozenset[int]],
-    f_edges: list[frozenset[int]],
+    pattern: Hypergraph,
+    host: Hypergraph,
     initial: Optional[dict[int, int]],
     budget: _Budget,
 ) -> Optional[dict[int, int]]:
     """Exhaustive injective-map search; None only after exhausting it.
 
-    The next variable is the unassigned vertex lying in the most-mapped
-    edge, ties broken by descending degree then id; candidate targets
-    ascend.  Pruning: every pattern edge must keep some host edge that
-    contains its mapped part and avoids all other used targets.
+    Degrees count distinct edges.  The next variable is the unassigned
+    vertex lying in the most-mapped edge, ties broken by descending
+    degree then id; candidate targets ascend.  Pruning: every pattern
+    edge must keep some host edge that contains its mapped part and
+    avoids all other used targets.
     """
+    h_edges, edges_of = pattern.distinct_edges, pattern.incidence
     if not h_edges:
         return dict(initial or {})
-    f_set = set(f_edges)
-    h_support = sorted({v for e in h_edges for v in e})
-    if not {len(e) for e in h_edges} <= {len(e) for e in f_edges}:
+    f_set, f_inc = set(host.distinct_edges), host.incidence
+    h_support = sorted(edges_of)
+    if not {len(e) for e in h_edges} <= {len(e) for e in f_set}:
         return None
-    deg_h = {v: sum(1 for e in h_edges if v in e) for v in h_support}
-    f_support = sorted({v for e in f_edges for v in e})
-    deg_f = {v: sum(1 for e in f_edges if v in e) for v in f_support}
-    edges_of = {v: [i for i, e in enumerate(h_edges) if v in e] for v in h_support}
 
     assignment: dict[int, int] = dict(initial or {})
     assert set(assignment) <= set(h_support), "initial map must live on the pattern"
@@ -109,8 +97,7 @@ def _backtrack_embed(
         mapped = frozenset(assignment[v] for v in e if v in assignment)
         if len(mapped) == len(e):
             return mapped in f_set
-        blocked = used - mapped
-        return any(mapped <= fe and not (fe - mapped) & blocked for fe in f_edges)
+        return next(host.extensions(mapped, used), None) is not None  # even an empty rest
 
     def all_feasible() -> bool:
         return all(edge_feasible(i) for i in range(len(h_edges)))
@@ -126,7 +113,7 @@ def _backtrack_embed(
             most_mapped = max(
                 sum(1 for u in h_edges[i] if u in assignment) for i in edges_of[v]
             )
-            key = (-most_mapped, -deg_h[v], v)
+            key = (-most_mapped, -len(edges_of[v]), v)
             if best_key is None or key < best_key:
                 best_v, best_key = v, key
         return best_v
@@ -137,15 +124,10 @@ def _backtrack_embed(
         )
         e = h_edges[idx]
         mapped = frozenset(assignment[u] for u in e if u in assignment)
-        if not mapped:
-            pool = set(f_support)
-        else:
-            blocked = used - mapped
-            pool = set()
-            for fe in f_edges:
-                if mapped <= fe and not (fe - mapped) & blocked:
-                    pool |= fe - mapped
-        return sorted(w for w in pool if w not in used and deg_f.get(w, 0) >= deg_h[v])
+        pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
+        return sorted(
+            w for w in pool if w not in used and len(f_inc.get(w, ())) >= len(edges_of[v])
+        )
 
     def dfs() -> Optional[dict[int, int]]:
         if len(assignment) == len(h_support):
@@ -173,13 +155,12 @@ def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -
     completed negative search.  Patterns that are uniform matchings run
     through a direct disjoint-edge packing.
     """
-    h_edges = list(dict.fromkeys(pattern.edge_sets))
-    f_edges = list(dict.fromkeys(host.edge_sets))
+    h_edges, f_set = pattern.distinct_edges, set(host.distinct_edges)
     tracker = _Budget(budget)
 
-    if h_edges and _is_uniform_matching(h_edges):
+    if _is_uniform_matching(pattern):
         r = len(h_edges[0])
-        pool = [fe for fe in f_edges if len(fe) == r]
+        pool = [fe for fe in host.distinct_edges if len(fe) == r]
         size, picked = _pack_disjoint(pool, len(h_edges))
         if size < len(h_edges):
             return EmbedResult(NONE, None, tracker.nodes)
@@ -187,16 +168,16 @@ def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -
         for he, idx in zip(h_edges, picked):
             for a, b in zip(sorted(he), sorted(pool[idx])):
                 amap[a] = b
-        _verify_map(h_edges, set(f_edges), amap)
+        _verify_map(h_edges, f_set, amap)
         return EmbedResult(FOUND, amap, tracker.nodes)
 
     try:
-        amap = _backtrack_embed(h_edges, f_edges, None, tracker)
+        amap = _backtrack_embed(pattern, host, None, tracker)
     except BudgetExceeded:
         return EmbedResult(BUDGET, None, tracker.nodes)
     if amap is None:
         return EmbedResult(NONE, None, tracker.nodes)
-    _verify_map(h_edges, set(f_edges), amap)
+    _verify_map(h_edges, f_set, amap)
     return EmbedResult(FOUND, amap, tracker.nodes)
 
 
@@ -217,12 +198,12 @@ def contains_anchored(
     is the incremental forbidden-subgraph check.  A budget, when given,
     raises BudgetExceeded instead of returning a wrong answer.
     """
-    h_edges = list(dict.fromkeys(pattern.edge_sets))
+    h_edges = pattern.distinct_edges
     if not h_edges:
         return True
     tracker = _Budget(budget)
 
-    if _is_uniform_matching(h_edges):
+    if _is_uniform_matching(pattern):
         r = len(h_edges[0])
         if len(anchor) != r:
             return False
@@ -230,7 +211,9 @@ def contains_anchored(
         size, _ = _pack_disjoint(pool, len(h_edges) - 1)
         return size >= len(h_edges) - 1
 
-    f_edges = list(dict.fromkeys(family)) + [anchor]
+    edges = [*family, anchor]
+    n = 1 + max((v for e in edges for v in e), default=-1)
+    host = Hypergraph(n, edges, allow_multi=True)
     anchor_list = sorted(anchor)
     for root in h_edges:
         if len(root) != len(anchor):
@@ -238,9 +221,7 @@ def contains_anchored(
         root_list = sorted(root)
         for image in itertools.permutations(anchor_list):
             tracker.tick()
-            found = _backtrack_embed(
-                h_edges, f_edges, dict(zip(root_list, image)), tracker
-            )
+            found = _backtrack_embed(pattern, host, dict(zip(root_list, image)), tracker)
             if found is not None:
                 return True
     return False
@@ -289,12 +270,7 @@ def greedy_tree_embed(
         u = next(iter(fresh))
         overlap_img = frozenset(amap[v] for v in e - fresh)
         extension = min(
-            (
-                next(iter(fe - overlap_img))
-                for fe in host.edge_sets
-                if overlap_img <= fe and not (fe - overlap_img) & used
-            ),
-            default=None,
+            (next(iter(rest)) for rest in host.extensions(overlap_img, used)), default=None
         )
         assert extension is not None, "degree precondition guarantees an extension"
         amap[u] = extension
@@ -343,13 +319,10 @@ def expansion_embed(
     used = set(amap.values())
     for e, img in kernels:
         slots = sorted(e & s_verts)
-        fe = min(
-            (fe for fe in host.edge_sets if img <= fe and not (fe - img) & used),
-            key=sorted,
-            default=None,
-        )
-        assert fe is not None, "kernel degree precondition guarantees an extension"
-        petal = sorted(fe - img)
+        # rests of one size order as their edges do
+        rest = min(host.extensions(img, used), key=sorted, default=None)
+        assert rest is not None, "kernel degree precondition guarantees an extension"
+        petal = sorted(rest)
         assert len(petal) == len(slots)
         for a, b in zip(slots, petal):
             amap[a] = b
@@ -365,9 +338,8 @@ def find_sunflower(
     if petals < 1:
         raise ValueError("a sunflower needs at least one petal")
     d = frozenset(kernel)
-    petal_map = _kernel_petals(hg, d)
-    pool = list(petal_map)
+    pool = [p for p in hg.extensions(d) if p]
     size, picked = _pack_disjoint(pool, petals)
     if size < petals:
         return None
-    return sorted(hg.edges[petal_map[pool[i]]] for i in picked)
+    return sorted(tuple(sorted(d | pool[i])) for i in picked)

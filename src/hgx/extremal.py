@@ -223,7 +223,7 @@ def _pattern_copies(
     index = {e: i for i, e in enumerate(universe)}
     support = sorted(pattern.support())
     place = {v: k for k, v in enumerate(support)}
-    edges = [[place[v] for v in e] for e in dict.fromkeys(pattern.edge_sets)]
+    edges = [[place[v] for v in e] for e in pattern.distinct_edges]
     copies = {
         tuple(sorted(index[frozenset(image[k] for k in e)] for e in edges))
         for image in itertools.permutations(range(n), len(support))
@@ -504,7 +504,7 @@ def homogeneous_check(
     pat = _normalise_pattern(r, pattern)
     failures: list[str] = []
 
-    sets = list(dict.fromkeys(family.edge_sets))
+    sets = family.distinct_edges
     r_partite = all(
         len(e) == r and all(v in class_of for v in e) and len({class_of[v] for v in e}) == r
         for e in sets
@@ -575,7 +575,7 @@ def classify(
     classes, class_of = _validate_partition(family, partition)
     r = family.require_uniform()
     pat = _normalise_pattern(r, pattern)
-    sets = list(dict.fromkeys(family.edge_sets))
+    sets = family.distinct_edges
     cases: list[int] = []
 
     small_bound = _comb(family.n, r - 2)
@@ -688,7 +688,7 @@ def homogeneous_extract(
             frozenset(v for v in support if assignment[v] == k) for k in range(r)
         )
         survivors = [
-            e for e in dict.fromkeys(family.edge_sets)
+            e for e in family.distinct_edges
             if len({assignment[v] for v in e}) == r
         ]
         while True:

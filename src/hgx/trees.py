@@ -63,10 +63,9 @@ def _is_tight(hg: Hypergraph, order: Sequence[int], parent: Mapping[int, int]) -
     # the edge size comes from the edges, so the answer does not depend
     # on whether ``uniform_r`` was declared
     sets = hg.edge_sets
-    sizes = {len(e) for e in sets}
-    if len(sizes) > 1:
-        return False
-    r = next(iter(sizes), 0)
+    r = _infer_r(sets)
+    if r is None:
+        return not sets
     order = list(order)
     return all(
         len(sets[order[i]] & sets[order[parent[i]]]) == r - 1
@@ -236,7 +235,7 @@ def _tight_order(
     k = len(dist)
     if k == 0:
         return [], {}
-    if len({len(e) for e in dist}) != 1:
+    if _infer_r(dist) is None:
         return None
     start = 0 if root_pos is None else root_pos
     order = [start]
@@ -668,7 +667,7 @@ def k_reduce(hg: Hypergraph, k: int) -> ExpansionMap:
         deleted.append(gone)
         reduced.append(tuple(v for v in e if v not in gone))
     mult = Counter(reduced)
-    base = Hypergraph(hg.n, list(dict.fromkeys(reduced)), uniform_r=r - k)
+    base = Hypergraph(hg.n, list(mult), uniform_r=r - k)
     return ExpansionMap(base, k, dict(mult), tuple(deleted))
 
 

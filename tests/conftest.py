@@ -1,8 +1,14 @@
 import itertools
+import os
+from pathlib import Path
 
 import pytest
 
 from hgx import Hypergraph, gen_standard
+
+# subprocesses started by the tests import hgx from this checkout too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

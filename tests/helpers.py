@@ -245,3 +245,36 @@ def copy_hypergraph(n: int, r: int, pattern: Hypergraph) -> Hypergraph:
         amap = dict(zip(support, image))
         copies.add(frozenset(number[tuple(sorted(amap[v] for v in e))] for e in pattern.edges))
     return Hypergraph(len(number), [sorted(c) for c in copies])
+
+
+def random_multi_hypergraph(
+    rng: random.Random, n: int, sizes: list[int], m: int
+) -> Hypergraph:
+    """Random edges of the given sizes (empty ones too), some repeated."""
+    edges = [rng.sample(range(n), min(rng.choice(sizes), n)) for _ in range(m)]
+    edges += [rng.choice(edges) for _ in range(rng.randint(0, m))] if edges else []
+    rng.shuffle(edges)
+    return Hypergraph(n, edges, allow_multi=True)
+
+
+def brute_distinct_edges(hg: Hypergraph) -> list[frozenset[int]]:
+    out: list[frozenset[int]] = []
+    for e in hg.edges:
+        if frozenset(e) not in out:
+            out.append(frozenset(e))
+    return out
+
+
+def brute_incidence(hg: Hypergraph) -> dict[int, list[int]]:
+    dist = brute_distinct_edges(hg)
+    support = {v for e in dist for v in e}
+    return {v: [i for i, e in enumerate(dist) if v in e] for v in support}
+
+
+def brute_extensions(
+    hg: Hypergraph, img: Iterable[int], used: Iterable[int]
+) -> list[frozenset[int]]:
+    """``e - img`` for the distinct edges ``e`` containing ``img`` whose rest
+    misses ``used``, in order of first appearance."""
+    img, used = frozenset(img), frozenset(used)
+    return [e - img for e in brute_distinct_edges(hg) if img <= e and not (e - img) & used]

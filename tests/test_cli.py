@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_analyze_ex511(tmp_path, capsys, ex511):
     res = json.loads(out)["results"]
     assert code == 0
     assert res["sigma"] == 2 and res["sigma_witness"] == [1, 2]
+
+
+def test_analyze_large_matching_is_fast(tmp_path, capsys):
+    # 3^12 minimum cross-cuts; sigma must find the lex-least without listing them
+    path = write(tmp_path, "m12.json", gen_standard("matching", s=12, r=3))
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", path)
+    assert time.perf_counter() - started < 1.0
+    res = json.loads(out)["results"]
+    assert code == 0
+    assert res["sigma"] == 12 and res["sigma_witness"] == list(range(0, 36, 3))
+    assert res["tau"] == 12
 
 
 def test_analyze_reports_are_deterministic(tmp_path, capsys, c34):

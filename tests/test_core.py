@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from helpers import brute_kernel_degree, brute_shadow, random_hypergraph
+from helpers import (
+    brute_distinct_edges,
+    brute_extensions,
+    brute_incidence,
+    brute_kernel_degree,
+    brute_shadow,
+    random_hypergraph,
+    random_multi_hypergraph,
+)
 from hgx import (
     Hypergraph,
     common_link,
@@ -67,6 +75,26 @@ def test_json_rejects_bad_vertices():
         )
 
 
+def test_carrier_views_match_their_definitions():
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        g = random_multi_hypergraph(rng, n, [0, 1, 2, 3, 4], rng.randint(0, 10))
+        dist = brute_distinct_edges(g)
+        assert list(g.distinct_edges) == dist
+        assert g.incidence == brute_incidence(g)
+        queries = [(frozenset(), ()), (frozenset(), frozenset(rng.sample(range(n), 1)))]
+        for e in dist:
+            part = frozenset(rng.sample(sorted(e), rng.randint(0, len(e))))
+            used = frozenset(rng.sample(range(n), rng.randint(0, n)))
+            queries += [(e, ()), (e, used), (part, used), (part, used - part)]
+        queries.append((frozenset(rng.sample(range(n), rng.randint(1, n))), ()))
+        for img, used in queries:
+            assert list(g.extensions(img, used)) == brute_extensions(g, img, used)
+        # the empty rest of an edge equal to the image is yielded, not skipped
+        assert all(frozenset() in g.extensions(e) for e in dist)
+
+
 # -- shadow -------------------------------------------------------------------
 
 
@@ -120,6 +148,21 @@ def test_min_shadow_degree_examples(t3, k35, m2):
     assert min_shadow_degree(t3, 2) == 1
     assert min_shadow_degree(k35, 2) == 3
     assert min_shadow_degree(m2, 1) == 1
+
+
+def test_min_shadow_degree_matches_degree_scan():
+    # degrees count repeated edges with multiplicity
+    rng = random.Random(31)
+    for _ in range(60):
+        r = rng.randint(2, 4)
+        edges = [rng.sample(range(7), r) for _ in range(rng.randint(1, 8))]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 3))]
+        g = Hypergraph(7, edges, uniform_r=r, allow_multi=True)
+        for i in range(1, r):
+            expected = min(
+                sum(1 for e in g.edges if set(d) <= set(e)) for d in brute_shadow(g.edges, i)
+            )
+            assert min_shadow_degree(g, i) == expected
 
 
 def test_min_shadow_degree_rejects_empty():

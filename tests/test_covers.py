@@ -65,10 +65,12 @@ def test_sigma_ex511_not_unique(ex511):
 
 
 def test_sigma_matchings():
-    for s in (1, 2, 3, 4):
+    # an s-matching has 3^s minimum cross-cuts; sigma must not list them
+    for s in (1, 2, 3, 4, 12, 40):
         g = gen_standard("matching", s=s, r=3)
         value, witness = sigma(g)
         assert value == s
+        assert witness.vertices == set(range(0, 3 * s, 3))  # lex-least
         assert is_crosscut(g, witness.vertices)
         t_value, _ = tau(g)
         assert t_value == s

@@ -11,11 +11,13 @@ from hgx import (
     find_sunflower,
     find_tree_ordering,
     gen_C,
+    gen_S,
     gen_standard,
     greedy_tree_embed,
     is_free,
     kernel_degree,
     min_shadow_degree,
+    missing_vs_nonm_check,
 )
 
 
@@ -188,3 +190,39 @@ def test_greedy_never_fails_on_random_trees():
             image = sorted(image)
         amap = greedy_tree_embed(tree, cert, host, dict(zip(first, image)))
         assert len(set(amap.values())) == len(tree.support())
+
+
+# -- pinned search node counts ------------------------------------------------------
+# ``nodes`` follows the search order exactly, so these literals catch any
+# change to variable order, candidate order or pruning.
+
+
+@pytest.mark.parametrize(
+    "host, nodes",
+    [
+        (gen_S(9, 3, 2), 16573),
+        (gen_C(9, 3, 2), 16039),
+        (gen_C(10, 3, 2), 37618),
+        (gen_C(11, 3, 2), 78455),
+    ],
+    ids=["S9", "C9", "C10", "C11"],
+)
+def test_embed_node_counts_on_constructions(host, nodes):
+    # tau(C5) = sigma(C5) = 3, so t = 2 constructions are C5-free
+    res = embed(gen_standard("linear_cycle", m=5, r=3), host)
+    assert (res.status, res.map, res.nodes) == ("none", None, nodes)
+
+
+def test_embed_node_count_with_a_host_edge_equal_to_a_partial_image():
+    # host edge {1,3} equals the image of a mapped pair of a pattern triple;
+    # its empty rest still counts as an extension, so the triple stays feasible
+    pattern = Hypergraph(6, [[1, 2, 5], [1, 3, 4], [1, 4, 5]])
+    host = Hypergraph(6, [[0, 3, 5], [1, 3], [1, 3, 4], [2, 3, 4], [2, 3, 5]])
+    res = embed(pattern, host)
+    assert (res.status, res.map, res.nodes) == ("found", {1: 3, 2: 1, 3: 5, 4: 2, 5: 4}, 8)
+
+
+def test_missing_vs_nonm_on_a_random_graph():
+    g = random_hypergraph(random.Random(100), 8, 3, 10)
+    c3 = gen_standard("linear_cycle", m=3, r=3)
+    assert tuple(missing_vs_nonm_check(g, c3)) == (2, 92, True)
