@@ -1,9 +1,10 @@
 """Exact vertex covers and cross-cuts.
 
-A cross-cut meets every edge in exactly one vertex; sigma is the minimum
-cross-cut size (infinite when no cross-cut exists).  tau is the ordinary
-minimum vertex cover size.  Both solvers are exact branch and bound,
-sized for desk-scale instances.
+A cover meets every edge in at least one vertex, a cross-cut in exactly
+one.  tau is the minimum cover size; sigma is the minimum cross-cut size
+(infinite when no cross-cut exists).  Both come from one exact search,
+sized for desk-scale instances: a branch and bound for the minimum size,
+then an ascending vertex walk to the lex-least minimum set.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from .core import Hypergraph
 @dataclass(frozen=True)
 class Cover:
     vertices: frozenset[int]
-    optimal: bool = True
 
 
 @dataclass(frozen=True)
 class CrossCut:
     vertices: frozenset[int]
-    optimal: bool = True
 
 
 def is_cover(hg: Hypergraph, vertices: Iterable[int]) -> bool:
@@ -35,12 +34,6 @@ def is_cover(hg: Hypergraph, vertices: Iterable[int]) -> bool:
 def is_crosscut(hg: Hypergraph, vertices: Iterable[int]) -> bool:
     s = frozenset(vertices)
     return all(len(e & s) == 1 for e in hg.edge_sets)
-
-
-def _distinct_edges(hg: Hypergraph) -> list[frozenset[int]]:
-    if any(not e for e in hg.edge_sets):
-        raise ValueError("covers are undefined when the empty set is an edge")
-    return list(hg.distinct_edges)
 
 
 def _matching_lower_bound(edges: list[frozenset[int]]) -> int:
@@ -54,71 +47,23 @@ def _matching_lower_bound(edges: list[frozenset[int]]) -> int:
     return count
 
 
-def tau(hg: Hypergraph) -> tuple[int, Cover]:
-    """Minimum vertex cover size with the lexicographically least witness."""
-    edges = _distinct_edges(hg)
-    if not edges:
-        return 0, Cover(frozenset())
-
-    best = len({v for e in edges for v in e})  # cover by full support
-
-    def bound_search(uncovered: list[frozenset[int]], size: int) -> None:
-        nonlocal best
-        if size + _matching_lower_bound(uncovered) >= best:
-            return
-        if not uncovered:
-            best = size
-            return
-        pivot = min(uncovered, key=len)
-        for v in sorted(pivot):
-            rest = [e for e in uncovered if v not in e]
-            bound_search(rest, size + 1)
-
-    bound_search(edges, 0)
-    value = best
-
-    # Lexicographically least optimum: ascending vertex scan, include first.
-    vertices = sorted({v for e in edges for v in e})
-
-    def lex_search(idx: int, chosen: list[int], uncovered: list[frozenset[int]]) -> Optional[list[int]]:
-        if not uncovered:
-            return list(chosen)
-        if len(chosen) + _matching_lower_bound(uncovered) > value:
-            return None
-        if idx == len(vertices):
-            return None
-        # an uncovered edge whose vertices are all behind us is a dead end
-        v = vertices[idx]
-        if any(max(e) < v for e in uncovered):
-            return None
-        if len(chosen) < value and any(v in e for e in uncovered):
-            chosen.append(v)
-            found = lex_search(idx + 1, chosen, [e for e in uncovered if v not in e])
-            if found is not None:
-                return found
-            chosen.pop()
-        return lex_search(idx + 1, chosen, uncovered)
-
-    witness = lex_search(0, [], edges)
-    assert witness is not None and len(witness) == value
-    return value, Cover(frozenset(witness))
-
-
-def _smallest_cut(
-    hg: Hypergraph, forced: tuple[int, ...], banned: frozenset[int], cap: int
+def _smallest(
+    hg: Hypergraph, forced: tuple[int, ...], banned: frozenset[int], cap: int, exact: bool
 ) -> Optional[int]:
-    """Size of the smallest cross-cut containing ``forced`` and avoiding
-    ``banned``, or None when there is none of size at most ``cap``.
+    """Size of the smallest set that hits every edge, exactly once when
+    ``exact`` (a cross-cut) and at least once otherwise (a cover), contains
+    ``forced`` and avoids ``banned``; None when there is none of size at
+    most ``cap``.
 
     Fail-first branch and bound: branch on the unhit edge with the fewest
     usable vertices, and cut a node whose size plus the disjoint unhit
-    edges cannot beat the best cut so far.  No cut is kept.
+    edges cannot beat the best set so far.  No set is kept.
     """
     edges, incident = hg.distinct_edges, hg.incidence
     hit = [False] * len(edges)
     for v in forced:
         for j in incident[v]:
-            if hit[j]:
+            if hit[j] and exact:
                 return None
             hit[j] = True
     best = cap + 1
@@ -126,7 +71,7 @@ def _smallest_cut(
     def usable(i: int) -> list[int]:
         return [
             v for v in sorted(edges[i])
-            if v not in banned and not any(hit[j] for j in incident[v])
+            if v not in banned and not (exact and any(hit[j] for j in incident[v]))
         ]
 
     def search(size: int) -> None:
@@ -138,43 +83,52 @@ def _smallest_cut(
             best = size
             return
         for v in min((usable(i) for i in unhit), key=len):
-            for j in incident[v]:
+            # a cover may re-hit an edge, so undo only what v newly hit
+            newly = [j for j in incident[v] if not hit[j]]
+            for j in newly:
                 hit[j] = True
             search(size + 1)
-            for j in incident[v]:
+            for j in newly:
                 hit[j] = False
 
     search(len(forced))
     return best if best <= cap else None
 
 
-def _min_crosscuts(hg: Hypergraph) -> Iterator[frozenset[int]]:
-    """Every minimum cross-cut, lexicographically ascending; none when
-    no cross-cut exists.
+def _minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
+    """Every minimum cross-cut (``exact``) or minimum cover, lexicographically
+    ascending; none when no cross-cut exists.
 
     An ascending vertex walk, include first, that enters a branch only
-    when ``_smallest_cut`` finds a minimum cut left in it.  When no
-    minimum cut contains the vertex, one avoids it, unchecked.
+    when ``_smallest`` finds a minimum set left in it.  When no minimum
+    set contains the vertex, one avoids it, unchecked.
     """
-    _distinct_edges(hg)  # rejects an empty edge
+    if any(not e for e in hg.edge_sets):
+        raise ValueError("covers are undefined when the empty set is an edge")
     vertices = sorted(hg.incidence)
-    value = _smallest_cut(hg, (), frozenset(), len(vertices))
+    value = _smallest(hg, (), frozenset(), len(vertices), exact)
     if value is None:
         return
-    # (position, forced, banned, whether a minimum cut is known to be left)
+    # (position, forced, banned, whether a minimum set is known to be left)
     stack = [(0, (), frozenset(), True)]
     while stack:
         k, forced, banned, holds = stack.pop()
-        if not holds and _smallest_cut(hg, forced, banned, value) is None:
+        if not holds and _smallest(hg, forced, banned, value, exact) is None:
             continue
         if len(forced) == value:
             yield frozenset(forced)
             continue
         take = forced + (vertices[k],)
-        inside = _smallest_cut(hg, take, banned, value) is not None
+        inside = _smallest(hg, take, banned, value, exact) is not None
         stack.append((k + 1, forced, banned | {vertices[k]}, not inside))
         if inside:
             stack.append((k + 1, take, banned, True))
+
+
+def tau(hg: Hypergraph) -> tuple[int, Cover]:
+    """Minimum vertex cover size with the lexicographically least witness."""
+    cover = next(_minimum_sets(hg, False))
+    return len(cover), Cover(cover)
 
 
 def sigma(hg: Hypergraph) -> tuple[float, Optional[CrossCut]]:
@@ -182,7 +136,7 @@ def sigma(hg: Hypergraph) -> tuple[float, Optional[CrossCut]]:
 
     The witness is the lexicographically least minimum cross-cut.
     """
-    cut = next(_min_crosscuts(hg), None)
+    cut = next(_minimum_sets(hg, True), None)
     if cut is None:
         return math.inf, None
     return len(cut), CrossCut(cut)
@@ -190,7 +144,7 @@ def sigma(hg: Hypergraph) -> tuple[float, Optional[CrossCut]]:
 
 def enumerate_min_crosscuts(hg: Hypergraph) -> list[CrossCut]:
     """All minimum cross-cuts, lexicographically sorted."""
-    cuts = [CrossCut(s) for s in _min_crosscuts(hg)]
+    cuts = [CrossCut(s) for s in _minimum_sets(hg, True)]
     if not cuts:
         raise ValueError("hypergraph has no cross-cut")
     return cuts

@@ -354,10 +354,8 @@ def tighten(hg: Hypergraph, cert: TreeCertificate) -> tuple[Hypergraph, TreeCert
             parent[pos] = prev_pos
             prev_pos = pos
         union |= e
-    out = Hypergraph(hg.n, new_edges, uniform_r=r)
-    cert_out = TreeCertificate(tuple(range(out.m)), parent, tight=True)
-    _assert_valid(out, cert_out)
-    assert _is_tight(out, cert_out.order, cert_out.parent)
+    out, cert_out = _in_order(Hypergraph(hg.n, new_edges, uniform_r=r), parent)
+    assert cert_out.tight
     assert all(s in pos_of for s in sets)
     return out, cert_out
 
@@ -609,13 +607,9 @@ def delete_crosscut(
             e2.append(fresh)
             fresh += 1
         rounded_edges.append(e2)
-    rounded = Hypergraph(fresh, rounded_edges, uniform_r=r - 1)
-    rounded_cert = TreeCertificate(
-        traced_cert.order,
-        dict(traced_cert.parent),
-        tight=_is_tight(rounded, traced_cert.order, traced_cert.parent),
+    rounded, rounded_cert = _in_order(
+        Hypergraph(fresh, rounded_edges, uniform_r=r - 1), dict(traced_cert.parent)
     )
-    _assert_valid(rounded, rounded_cert)
 
     widened = Hypergraph(fresh, reduced.edges, uniform_r=r - 1)
     hosted, hosted_cert = host_tree(widened, rounded, rounded_cert)

@@ -4,6 +4,8 @@ import pytest
 
 from helpers import brute_min_covers, brute_min_crosscuts, random_hypergraph
 from hgx import (
+    Cover,
+    CrossCut,
     Hypergraph,
     enumerate_min_crosscuts,
     gen_standard,
@@ -34,14 +36,22 @@ def test_tau_c34(c34):
 
 def test_tau_witness_is_lex_least():
     rng = random.Random(41)
-    for _ in range(30):
-        g = random_hypergraph(rng, 7, 3, rng.randint(1, 10))
-        if g.m == 0:
-            continue
+    for _ in range(240):
+        r = rng.randint(1, 4)
+        n = rng.randint(r, 7)
+        edges = [rng.sample(range(n), rng.randint(1, r)) for _ in range(rng.randint(1, 9))]
+        edges += [rng.choice(edges) for _ in range(rng.choice((0, 0, 1, 3)))]
+        g = Hypergraph(n, edges, allow_multi=True)
         value, witness = tau(g)
         size, all_covers = brute_min_covers(g)
         assert value == size
         assert sorted(witness.vertices) == min(sorted(c) for c in all_covers)
+
+
+def test_edgeless_tau_and_sigma():
+    g = Hypergraph(4, [])
+    assert tau(g) == (0, Cover(frozenset()))
+    assert sigma(g) == (0, CrossCut(frozenset()))
 
 
 def test_tau_rejects_empty_edge():
@@ -72,8 +82,7 @@ def test_sigma_matchings():
         assert value == s
         assert witness.vertices == set(range(0, 3 * s, 3))  # lex-least
         assert is_crosscut(g, witness.vertices)
-        t_value, _ = tau(g)
-        assert t_value == s
+        assert tau(g) == (s, Cover(witness.vertices))
 
 
 def test_sigma_c34(c34):
