@@ -9,6 +9,7 @@ failure, 2 usage or input errors or an exhausted search budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -243,6 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hg", description="hypergraph tree and Turan-number toolbox"

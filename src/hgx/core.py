@@ -121,13 +121,6 @@ class Hypergraph:
             raise ValueError("operation requires a uniform hypergraph")
         return self.uniform_r
 
-    def simplify(self) -> "Hypergraph":
-        """Drop duplicate edges, keeping first appearances."""
-        seen: dict[Edge, None] = {}
-        for e in self.edges:
-            seen.setdefault(e)
-        return Hypergraph(self.n, tuple(seen), uniform_r=self.uniform_r)
-
     # -- interchange format --------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -148,9 +141,11 @@ class Hypergraph:
         except KeyError as exc:
             raise ValueError(f"hypergraph JSON missing field {exc}") from exc
         r = obj.get("r")
-        multi = bool(obj.get("multi", False))
+        multi = obj.get("multi", False)
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError("field 'n' must be an integer")
+        if not isinstance(multi, bool):
+            raise ValueError("field 'multi' must be a boolean")
         if r is not None and (not isinstance(r, int) or isinstance(r, bool)):
             raise ValueError("field 'r' must be an integer or null")
         if not isinstance(edges, list):

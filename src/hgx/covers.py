@@ -48,7 +48,7 @@ def _matching_lower_bound(edges: list[frozenset[int]]) -> int:
 
 
 def _smallest(
-    hg: Hypergraph, forced: tuple[int, ...], banned: frozenset[int], cap: int, exact: bool
+    hg: Hypergraph, forced: tuple[int, ...], banned: frozenset[int], cap: int, exact: bool, low: int
 ) -> Optional[int]:
     """Size of the smallest set that hits every edge, exactly once when
     ``exact`` (a cross-cut) and at least once otherwise (a cover), contains
@@ -57,7 +57,8 @@ def _smallest(
 
     Fail-first branch and bound: branch on the unhit edge with the fewest
     usable vertices, and cut a node whose size plus the disjoint unhit
-    edges cannot beat the best set so far.  No set is kept.
+    edges cannot beat the best set so far.  No set is kept.  The search
+    stops once it finds a set of size ``low``, a known lower bound.
     """
     edges, incident = hg.distinct_edges, hg.incidence
     hit = [False] * len(edges)
@@ -77,7 +78,7 @@ def _smallest(
     def search(size: int) -> None:
         nonlocal best
         unhit = [i for i, h in enumerate(hit) if not h]
-        if size + _matching_lower_bound([edges[i] for i in unhit]) >= best:
+        if best <= low or size + _matching_lower_bound([edges[i] for i in unhit]) >= best:
             return
         if not unhit:
             best = size
@@ -106,20 +107,20 @@ def _minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
     if any(not e for e in hg.edge_sets):
         raise ValueError("covers are undefined when the empty set is an edge")
     vertices = sorted(hg.incidence)
-    value = _smallest(hg, (), frozenset(), len(vertices), exact)
+    value = _smallest(hg, (), frozenset(), len(vertices), exact, 0)
     if value is None:
         return
     # (position, forced, banned, whether a minimum set is known to be left)
     stack = [(0, (), frozenset(), True)]
     while stack:
         k, forced, banned, holds = stack.pop()
-        if not holds and _smallest(hg, forced, banned, value, exact) is None:
+        if not holds and _smallest(hg, forced, banned, value, exact, value) is None:
             continue
         if len(forced) == value:
             yield frozenset(forced)
             continue
         take = forced + (vertices[k],)
-        inside = _smallest(hg, take, banned, value, exact) is not None
+        inside = _smallest(hg, take, banned, value, exact, value) is not None
         stack.append((k + 1, forced, banned | {vertices[k]}, not inside))
         if inside:
             stack.append((k + 1, take, banned, True))

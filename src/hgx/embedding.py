@@ -92,60 +92,44 @@ def _backtrack_embed(
     if len(used) != len(assignment):
         return None
 
-    def edge_feasible(idx: int) -> bool:
-        e = h_edges[idx]
-        mapped = frozenset(assignment[v] for v in e if v in assignment)
-        if len(mapped) == len(e):
-            return mapped in f_set
-        return next(host.extensions(mapped, used), None) is not None  # even an empty rest
+    def images() -> Optional[list[frozenset[int]]]:
+        # each edge's mapped part; None once some edge cannot be completed
+        parts = []
+        for e in h_edges:
+            mapped = frozenset(assignment[v] for v in e if v in assignment)
+            if len(mapped) == len(e):
+                if mapped not in f_set:
+                    return None
+            elif next(host.extensions(mapped, used), None) is None:  # even an empty rest
+                return None
+            parts.append(mapped)
+        return parts
 
-    def all_feasible() -> bool:
-        return all(edge_feasible(i) for i in range(len(h_edges)))
-
-    if not all_feasible():
-        return None
-
-    def pick_next() -> int:
-        best_v, best_key = -1, None
-        for v in h_support:
-            if v in assignment:
-                continue
-            most_mapped = max(
-                sum(1 for u in h_edges[i] if u in assignment) for i in edges_of[v]
-            )
-            key = (-most_mapped, -len(edges_of[v]), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
-
-    def candidates(v: int) -> list[int]:
-        idx = max(
-            edges_of[v], key=lambda i: sum(1 for u in h_edges[i] if u in assignment)
-        )
-        e = h_edges[idx]
-        mapped = frozenset(assignment[u] for u in e if u in assignment)
-        pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
-        return sorted(
-            w for w in pool if w not in used and len(f_inc.get(w, ())) >= len(edges_of[v])
-        )
-
-    def dfs() -> Optional[dict[int, int]]:
+    def dfs(parts: list[frozenset[int]]) -> Optional[dict[int, int]]:
         if len(assignment) == len(h_support):
             return dict(assignment)
-        v = pick_next()
-        for target in candidates(v):
+        v = min(
+            (u for u in h_support if u not in assignment),
+            key=lambda u: (-max(len(parts[i]) for i in edges_of[u]), -len(edges_of[u]), u),
+        )
+        mapped = max((parts[i] for i in edges_of[v]), key=len)
+        pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
+        degree = len(edges_of[v])
+        for target in sorted(w for w in pool if w not in used and len(f_inc.get(w, ())) >= degree):
             budget.tick()
             assignment[v] = target
             used.add(target)
-            if all_feasible():
-                found = dfs()
+            nxt = images()
+            if nxt is not None:
+                found = dfs(nxt)
                 if found is not None:
                     return found
             del assignment[v]
             used.discard(target)
         return None
 
-    return dfs()
+    parts = images()
+    return None if parts is None else dfs(parts)
 
 
 def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -> EmbedResult:
@@ -158,23 +142,22 @@ def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -
     h_edges, f_set = pattern.distinct_edges, set(host.distinct_edges)
     tracker = _Budget(budget)
 
+    amap: Optional[dict[int, int]] = None
     if _is_uniform_matching(pattern):
         r = len(h_edges[0])
         pool = [fe for fe in host.distinct_edges if len(fe) == r]
         size, picked = _pack_disjoint(pool, len(h_edges))
-        if size < len(h_edges):
-            return EmbedResult(NONE, None, tracker.nodes)
-        amap: dict[int, int] = {}
-        for he, idx in zip(h_edges, picked):
-            for a, b in zip(sorted(he), sorted(pool[idx])):
-                amap[a] = b
-        _verify_map(h_edges, f_set, amap)
-        return EmbedResult(FOUND, amap, tracker.nodes)
-
-    try:
-        amap = _backtrack_embed(pattern, host, None, tracker)
-    except BudgetExceeded:
-        return EmbedResult(BUDGET, None, tracker.nodes)
+        if size == len(h_edges):
+            amap = {
+                a: b
+                for he, idx in zip(h_edges, picked)
+                for a, b in zip(sorted(he), sorted(pool[idx]))
+            }
+    else:
+        try:
+            amap = _backtrack_embed(pattern, host, None, tracker)
+        except BudgetExceeded:
+            return EmbedResult(BUDGET, None, tracker.nodes)
     if amap is None:
         return EmbedResult(NONE, None, tracker.nodes)
     _verify_map(h_edges, f_set, amap)

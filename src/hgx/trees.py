@@ -128,15 +128,21 @@ def _assert_valid(hg: Hypergraph, cert: TreeCertificate) -> None:
         seen |= e
 
 
+def _certified(
+    hg: Hypergraph, order: Sequence[int], parent: Mapping[int, int]
+) -> TreeCertificate:
+    """The certificate ``(order, parent)`` of ``hg``, with its computed
+    ``tight`` flag; raises ValueError unless it is valid."""
+    cert = TreeCertificate(tuple(order), dict(parent), tight=_is_tight(hg, order, parent))
+    _assert_valid(hg, cert)
+    return cert
+
+
 def _in_order(
-    out: Hypergraph, parent: dict[int, int]
+    out: Hypergraph, parent: Mapping[int, int]
 ) -> tuple[Hypergraph, TreeCertificate]:
     """``out`` with the checked certificate ordering its edges as listed."""
-    cert = TreeCertificate(
-        tuple(range(out.m)), parent, tight=_is_tight(out, range(out.m), parent)
-    )
-    _assert_valid(out, cert)
-    return out, cert
+    return out, _certified(out, range(out.m), parent)
 
 
 def _induced(
@@ -158,58 +164,45 @@ def _induced(
 
 
 def _removal_order(
-    dist: list[frozenset[int]], root_pos: Optional[int]
+    dist: Sequence[frozenset[int]], root_pos: Optional[int]
 ) -> Optional[tuple[list[int], dict[int, int]]]:
     """Ear-removal ordering of distinct edges, or None.
 
     Removes, step by step, an edge whose intersection with the union of
     the others lies inside one remaining edge; the reversed removal
-    sequence is the ordering.  Greedy removal picks the highest index,
-    so the final ordering prefers low indices.  Removing an ear keeps a
-    tree a tree, and a tree with two or more edges has two or more ears,
-    so greedy removal gets stuck, with or without the root pinned,
-    exactly when there is no ordering.
+    sequence is the ordering.  That intersection is the edge's vertices
+    that another remaining edge also holds, read off a count of vertex
+    occurrences.  Greedy removal picks the highest index and the lowest
+    covering edge, so the final ordering prefers low indices.  Removing
+    an ear keeps a tree a tree, and a tree with two or more edges has
+    two or more ears, so greedy removal gets stuck, with or without the
+    root pinned, exactly when there is no ordering.
     """
-    k = len(dist)
-    if k == 0:
-        return [], {}
-
-    def cover_for(remaining: frozenset[int], i: int) -> Optional[int]:
-        others = remaining - {i}
-        union: set[int] = set()
-        for j in others:
-            union |= dist[j]
-        shared = dist[i] & union
-        for j in sorted(others):
-            if shared <= dist[j]:
-                return j
-        return None
-
+    count = Counter(v for e in dist for v in e)
     removal: list[tuple[int, int]] = []
-    remaining = frozenset(range(k))
+    remaining = list(range(len(dist)))
     while len(remaining) > 1:
-        pick = None
-        for i in sorted(remaining, reverse=True):
-            if root_pos is not None and i == root_pos:
+        for i in reversed(remaining):
+            if i == root_pos:
                 continue
-            cov = cover_for(remaining, i)
+            shared = {v for v in dist[i] if count[v] > 1}
+            cov = next((j for j in remaining if j != i and shared <= dist[j]), None)
             if cov is not None:
-                pick = (i, cov)
                 break
-        if pick is None:
+        else:
             return None
-        removal.append(pick)
-        remaining = remaining - {pick[0]}
+        removal.append((i, cov))
+        remaining.remove(i)
+        count.subtract(dist[i])
 
-    last = next(iter(remaining))
-    order = [last] + [i for i, _ in reversed(removal)]
+    order = remaining + [i for i, _ in reversed(removal)]
     pos_of = {e: idx for idx, e in enumerate(order)}
     parent = {pos_of[i]: pos_of[cov] for i, cov in removal}
     return order, parent
 
 
 def _tight_order(
-    dist: list[frozenset[int]], root_pos: Optional[int]
+    dist: Sequence[frozenset[int]], root_pos: Optional[int]
 ) -> Optional[tuple[list[int], dict[int, int]]]:
     """Tight ordering of distinct uniform edges by one forward greedy pass.
 
@@ -272,44 +265,24 @@ def find_tree_ordering(
     """
     if root is not None and not 0 <= root < hg.m:
         raise ValueError("root edge index out of range")
-    sets = hg.edge_sets
-    first_of: dict[frozenset[int], int] = {}
-    dup_positions: list[int] = []
+    sets, dist = hg.edge_sets, hg.distinct_edges
+    if require_tight and len(dist) < hg.m:
+        return None
+    first: dict[frozenset[int], int] = {}
     for idx, s in enumerate(sets):
-        if s in first_of:
-            dup_positions.append(idx)
-        else:
-            first_of[s] = idx
-    dist_sets = list(first_of)
-    dist_orig = list(first_of.values())
-    root_pos = dist_sets.index(sets[root]) if root is not None else None
-
-    if require_tight:
-        if dup_positions:
-            return None
-        found = _tight_order(dist_sets, root_pos)
-        if found is None:
-            return None
-        order_pos, parent = found
-        cert = TreeCertificate(
-            tuple(dist_orig[p] for p in order_pos), dict(parent), tight=True
-        )
-        _assert_valid(hg, cert)
-        return cert
-
-    found = _removal_order(dist_sets, root_pos)
+        first.setdefault(s, idx)
+    root_pos = dist.index(sets[root]) if root is not None else None
+    found = (_tight_order if require_tight else _removal_order)(dist, root_pos)
     if found is None:
         return None
     order_pos, parent = found
-    order = [dist_orig[p] for p in order_pos]
-    parent = dict(parent)
-    place_of = {dist_orig[p]: i for i, p in enumerate(order_pos)}
-    for d in dup_positions:
-        parent[len(order)] = place_of[first_of[sets[d]]]
-        order.append(d)
-    cert = TreeCertificate(tuple(order), parent, tight=_is_tight(hg, order, parent))
-    _assert_valid(hg, cert)
-    return cert
+    order = [first[dist[p]] for p in order_pos]
+    place = {sets[i]: k for k, i in enumerate(order)}
+    for idx, s in enumerate(sets):
+        if idx != first[s]:
+            parent[len(order)] = place[s]
+            order.append(idx)
+    return _certified(hg, order, parent)
 
 
 # -- tight completion ------------------------------------------------------
@@ -415,11 +388,7 @@ def compress(
         sorted((set(s) - {x}) | {y}) if x in s else sorted(s) for s in hg.edge_sets
     ]
     out = Hypergraph(hg.n, new_edges, uniform_r=hg.uniform_r, allow_multi=True)
-    cert_out = TreeCertificate(
-        cert.order, dict(cert.parent), tight=_is_tight(out, cert.order, cert.parent)
-    )
-    _assert_valid(out, cert_out)
-    return out, cert_out
+    return out, _certified(out, cert.order, cert.parent)
 
 
 def host_tree(

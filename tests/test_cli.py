@@ -83,6 +83,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert out == "" and "error" in err
 
 
+def test_string_multi_flag_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "multi": "false", "edges": [[0, 1], [0, 1]]}')
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == "" and err == "error: field 'multi' must be a boolean\n"
+
+
 def test_construct_round_trip(capsys):
     code, out, _ = run(capsys, "construct", "--family", "linear_cycle", "--params", "m=4,r=3")
     assert code == 0

@@ -75,6 +75,12 @@ def test_json_rejects_bad_vertices():
         )
 
 
+@pytest.mark.parametrize("multi", ["false", "true", 0, 1, None, [], {}])
+def test_json_multi_must_be_a_boolean(multi):
+    with pytest.raises(ValueError, match="multi"):
+        Hypergraph.from_json_obj({"n": 2, "multi": multi, "edges": [[0, 1], [0, 1]]})
+
+
 def test_carrier_views_match_their_definitions():
     rng = random.Random(29)
     for _ in range(200):

@@ -1,0 +1,131 @@
+"""Byte-identity pins for tree certificates and embedding searches.
+
+Each test serialises every answer over a seeded corpus and compares its
+sha256 digest with a pinned literal, so any change in a certificate, a
+``tight`` flag, a tree transform or an ``embed`` result (search node
+counts included) fails.
+"""
+
+import hashlib
+import json
+import random
+
+from helpers import random_hypergraph, random_multi_hypergraph, random_tree
+from hgx import (
+    Hypergraph,
+    contains_anchored,
+    embed,
+    find_tree_ordering,
+    host_tree,
+    r_partition,
+    tighten,
+    trace_certified,
+)
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _relabel(rng: random.Random, hg: Hypergraph, extra: int = 0) -> Hypergraph:
+    """Shuffled vertex labels and edge order, plus ``extra`` repeated edges."""
+    perm = list(range(hg.n))
+    rng.shuffle(perm)
+    edges = [[perm[v] for v in e] for e in hg.edges]
+    edges += [rng.choice(edges) for _ in range(extra)] if edges else []
+    rng.shuffle(edges)
+    return Hypergraph(hg.n, edges, uniform_r=hg.uniform_r, allow_multi=hg.allow_multi or extra > 0)
+
+
+def _mixed_tree(rng: random.Random, max_edges: int) -> Hypergraph:
+    """A tree whose edges have sizes 1..4: each keeps part of its parent."""
+    edges = [list(range(rng.randint(1, 4)))]
+    fresh = len(edges[0])
+    for i in range(1, rng.randint(1, max_edges)):
+        par = edges[rng.randrange(i)]
+        keep = rng.sample(par, rng.randint(0, len(par)))
+        new = list(range(fresh, fresh + max(1 - len(keep), rng.randint(0, 2))))
+        fresh += len(new)
+        edges.append(keep + new)
+    return Hypergraph(fresh, edges, allow_multi=True)
+
+
+def _tree_corpus() -> list[Hypergraph]:
+    rng = random.Random(20260)
+    out = []
+    for k in range(240):
+        kind = k % 6
+        if kind < 3:
+            tree, _ = random_tree(rng, rng.randint(2, 4), 7, tight=kind == 1)
+            out.append(_relabel(rng, tree, extra=rng.randint(0, 2) if kind == 2 else 0))
+        elif kind == 3:
+            out.append(_relabel(rng, _mixed_tree(rng, 7), extra=rng.randint(0, 2)))
+        elif kind == 4:
+            n = rng.randint(1, 7)
+            out.append(random_multi_hypergraph(rng, n, [1, 2, 3, 4], rng.randint(0, 6)))
+        else:
+            n = rng.randint(4, 7)
+            out.append(random_hypergraph(rng, n, 3, rng.randint(1, 6)))
+    return out
+
+
+def _cert_json(cert) -> str:
+    return json.dumps(cert.to_json_obj() if cert is not None else None, sort_keys=True)
+
+
+def _pair_json(pair) -> str:
+    hg, cert = pair
+    return json.dumps([hg.n, hg.uniform_r, hg.edges, cert.to_json_obj()], sort_keys=True)
+
+
+def _tree_lines() -> list[str]:
+    rng = random.Random(7)
+    lines = []
+    for hg in _tree_corpus():
+        lines.append(json.dumps(hg.to_json_obj(), sort_keys=True))
+        for tight in (False, True):
+            for root in (None, *range(hg.m)):
+                lines.append(_cert_json(find_tree_ordering(hg, root, require_tight=tight)))
+        cert = find_tree_ordering(hg)
+        if cert is None:
+            continue
+        keep = rng.sample(range(hg.n), rng.randint(0, hg.n))
+        lines.append(_pair_json(trace_certified(hg, cert, keep)))
+        if hg.uniform_r is None or not hg.is_simple() or hg.m == 0:
+            continue
+        lines.append(json.dumps([sorted(c) for c in r_partition(hg, cert)]))
+        lines.append(_pair_json(tighten(hg, cert)))
+        sub = Hypergraph(hg.n, [rng.choice(hg.edges)], uniform_r=hg.uniform_r)
+        lines.append(_pair_json(host_tree(sub, hg, cert)))
+    return lines
+
+
+def _embed_lines() -> list[str]:
+    rng = random.Random(11)
+    lines = []
+    for k in range(300):
+        r = rng.choice([2, 3])
+        if k % 2:
+            pattern, _ = random_tree(rng, r, 5, tight=k % 4 == 1)
+        else:
+            pattern = random_hypergraph(rng, rng.randint(r, 6), r, rng.randint(1, 4))
+        host = random_hypergraph(rng, rng.randint(4, 9), r, rng.randint(1, 30))
+        res = embed(pattern, host, budget=rng.choice([None, 40, 5000]))
+        amap = sorted(res.map.items()) if res.map is not None else None
+        lines.append(json.dumps([res.status, amap, res.nodes]))
+        anchor = rng.choice(host.edge_sets)
+        family = [e for e in host.edge_sets if e != anchor]
+        lines.append(json.dumps(contains_anchored(pattern, family, anchor)))
+    return lines
+
+
+def test_tree_certificates_and_transforms_are_pinned():
+    lines = _tree_lines()
+    assert len(lines) == 3301
+    assert _digest(lines) == "77980d5976a13b80f79cde8b70e8bb70b91b49a9c107e6db44f175d812f9200c"
+
+
+def test_embed_results_are_pinned():
+    lines = _embed_lines()
+    assert len(lines) == 600
+    assert _digest(lines) == "0e47c93bebeb92c425af6baf24fc93c55d700dca790d183abadf4f5c3673d3e8"
