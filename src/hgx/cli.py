@@ -12,7 +12,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -27,13 +26,6 @@ def _load(path: str) -> tuple[core.Hypergraph, str]:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     return core.Hypergraph.from_json_obj(json.loads(raw)), digest
-
-
-def _budget(args: argparse.Namespace) -> Optional[int]:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("HG_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 def _flatten(prefix: str, obj, out: list[str]) -> None:
@@ -149,7 +141,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     pattern, d1 = _load(args.pattern)
     host, d2 = _load(args.host)
-    res = embedding.embed(pattern, host, budget=_budget(args))
+    res = embedding.embed(pattern, host, budget=args.budget)
     results = {
         "status": res.status,
         "map": {str(k): v for k, v in sorted(res.map.items())} if res.map else None,
@@ -162,7 +154,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_turan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     pattern, digest = _load(args.forbid)
-    res = extremal.turan_oracle(args.n, args.r, pattern, budget=_budget(args))
+    res = extremal.turan_oracle(args.n, args.r, pattern, budget=args.budget)
     results = {
         "value": res.value,
         "witness": res.witness.to_json_obj(),
@@ -195,19 +187,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"verify {prop} needs H-FILE and -n")
         hg, digest = _load(args.files[0])
         inputs[args.files[0]] = digest
-        r = hg.require_uniform()
         which = "S" if prop == "3.1" else "C"
-        if which == "S":
-            t, _ = covers.tau(hg)
-            family = extremal.gen_S(args.n, r, min(t - 1, args.n))
-            bound = extremal.bound_tau_lower(hg, args.n)
-        else:
-            s, _ = covers.sigma(hg)
-            if s == float("inf"):
-                raise ValueError("pattern has no cross-cut; 3.2 does not apply")
-            family = extremal.gen_C(args.n, r, min(int(s) - 1, args.n))
-            bound = extremal.bound_sigma_lower(hg, args.n)
-        free = extremal.certify_construction_free(hg, args.n, which)
+        family = extremal._construction(hg, args.n, which)
+        bound_of = extremal.bound_tau_lower if which == "S" else extremal.bound_sigma_lower
+        bound = bound_of(hg, args.n)
+        free = embedding.is_free(family, hg)
         results = {
             "construction": which,
             "size": family.m,
@@ -231,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         graph, d1 = _load(args.files[0])
         pattern, d2 = _load(args.files[1])
         inputs = {args.files[0]: d1, args.files[1]: d2}
-        check = extremal.missing_vs_nonm_check(graph, pattern, budget=_budget(args))
+        check = extremal.missing_vs_nonm_check(graph, pattern, budget=args.budget)
         results = {
             "uncovered": check.uncovered,
             "bound": check.bound,
@@ -249,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hg", description="hypergraph tree and Turan-number toolbox"
     )
-    parser.add_argument("--budget", type=int, default=None, help="search node budget")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
     parser.add_argument(
         "--table", action="store_true", help="render the report as a table"
     )
@@ -301,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.budget < 0:
+        build_parser().error(f"argument --budget: must be non-negative, got {args.budget}")
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, embedding.BudgetExceeded) as exc:

@@ -187,6 +187,28 @@ def _derived(n: int, edge_sets: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(n, edges, uniform_r=_infer_r(edges))
 
 
+# -- search budgets ---------------------------------------------------------
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised by operations whose node budget ran out mid-search."""
+
+
+class _Budget:
+    """The node counter and limit behind every ``budget=`` argument."""
+
+    __slots__ = ("limit", "nodes")
+
+    def __init__(self, limit: Optional[int]):
+        self.limit = limit
+        self.nodes = 0
+
+    def tick(self, k: int = 1) -> None:
+        self.nodes += k
+        if self.limit is not None and self.nodes > self.limit:
+            raise BudgetExceeded(f"search budget of {self.limit} nodes exhausted")
+
+
 # -- shadows and degrees ------------------------------------------------
 
 

@@ -12,16 +12,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Edge, Hypergraph, _infer_r, _pack_disjoint, kernel_degree, min_shadow_degree
+from .core import (
+    BudgetExceeded, Edge, Hypergraph, _Budget, _infer_r, _pack_disjoint, kernel_degree, min_shadow_degree
+)
 from .trees import TreeCertificate, _assert_valid, _is_tight
 
 FOUND = "found"
 NONE = "none"
 BUDGET = "budget"
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised by operations whose node budget ran out mid-search."""
 
 
 @dataclass(frozen=True)
@@ -33,19 +31,6 @@ class EmbedResult:
     @property
     def found(self) -> bool:
         return self.status == FOUND
-
-
-class _Budget:
-    __slots__ = ("limit", "nodes")
-
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise BudgetExceeded(f"search budget of {self.limit} nodes exhausted")
 
 
 def _verify_map(
@@ -169,6 +154,36 @@ def is_free(host: Hypergraph, pattern: Hypergraph) -> bool:
     return embed(pattern, host).status == NONE
 
 
+def _anchored(
+    pattern: Hypergraph, host: Hypergraph, anchor: frozenset[int], budget: _Budget
+) -> bool:
+    """Does ``host`` contain the pattern with an edge on ``anchor``, an edge
+    of ``host``?  Ticks ``budget`` per root placement and per search node."""
+    h_edges = pattern.distinct_edges
+    if not h_edges:
+        return True
+
+    if _is_uniform_matching(pattern):
+        r = len(h_edges[0])
+        if len(anchor) != r:
+            return False
+        pool = [fe for fe in host.distinct_edges if len(fe) == r and not fe & anchor]
+        size, _ = _pack_disjoint(pool, len(h_edges) - 1)
+        return size >= len(h_edges) - 1
+
+    anchor_list = sorted(anchor)
+    for root in h_edges:
+        if len(root) != len(anchor):
+            continue
+        root_list = sorted(root)
+        for image in itertools.permutations(anchor_list):
+            budget.tick()
+            found = _backtrack_embed(pattern, host, dict(zip(root_list, image)), budget)
+            if found is not None:
+                return True
+    return False
+
+
 def contains_anchored(
     pattern: Hypergraph,
     family: Sequence[frozenset[int]],
@@ -181,33 +196,10 @@ def contains_anchored(
     is the incremental forbidden-subgraph check.  A budget, when given,
     raises BudgetExceeded instead of returning a wrong answer.
     """
-    h_edges = pattern.distinct_edges
-    if not h_edges:
-        return True
-    tracker = _Budget(budget)
-
-    if _is_uniform_matching(pattern):
-        r = len(h_edges[0])
-        if len(anchor) != r:
-            return False
-        pool = [fe for fe in family if len(fe) == r and not fe & anchor]
-        size, _ = _pack_disjoint(pool, len(h_edges) - 1)
-        return size >= len(h_edges) - 1
-
     edges = [*family, anchor]
     n = 1 + max((v for e in edges for v in e), default=-1)
     host = Hypergraph(n, edges, allow_multi=True)
-    anchor_list = sorted(anchor)
-    for root in h_edges:
-        if len(root) != len(anchor):
-            continue
-        root_list = sorted(root)
-        for image in itertools.permutations(anchor_list):
-            tracker.tick()
-            found = _backtrack_embed(pattern, host, dict(zip(root_list, image)), tracker)
-            if found is not None:
-                return True
-    return False
+    return _anchored(pattern, host, anchor, _Budget(budget))
 
 
 # -- guaranteed procedures ---------------------------------------------------

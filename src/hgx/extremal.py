@@ -11,16 +11,17 @@ is blocked, and each node is bounded by the edges still unblocked.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .core import Edge, Hypergraph, degree, kernel_degree, shadow
+from .core import BudgetExceeded, Edge, Hypergraph, _Budget, degree, kernel_degree, shadow
 from .covers import sigma, tau
-from .embedding import contains_anchored, is_free
+from .embedding import _anchored, is_free
 from .trees import find_tree_ordering
 
 log = logging.getLogger(__name__)
@@ -56,6 +57,21 @@ def gen_C(n: int, r: int, t: int) -> Hypergraph:
     out = Hypergraph(n, edges, uniform_r=r)
     assert out.m == t * _comb(n - t, r - 1)
     return out
+
+
+def _construction(pattern: Hypergraph, n: int, which: str) -> Hypergraph:
+    """``gen_S`` on a (tau-1)-set or ``gen_C`` on a (sigma-1)-set of [n]:
+    the pattern-free lower-bound constructions of Props 3.1 and 3.2."""
+    r = pattern.require_uniform()
+    if which == "S":
+        t_cov, _ = tau(pattern)
+        return gen_S(n, r, min(t_cov - 1, n))
+    if which != "C":
+        raise ValueError("construction must be 'S' or 'C'")
+    s_cut, _ = sigma(pattern)
+    if s_cut == float("inf"):
+        raise ValueError("pattern has no cross-cut; 3.2 does not apply")
+    return gen_C(n, r, min(int(s_cut) - 1, n))
 
 
 def _matching(s: int, r: int) -> Hypergraph:
@@ -232,14 +248,13 @@ def _pattern_copies(
 
 
 def _search(
-    total: int, copies: Sequence[tuple[int, ...]], best: int, limit: Optional[int]
-) -> tuple[Optional[list[int]], int, bool]:
+    total: int, copies: Sequence[tuple[int, ...]], best: int, budget: _Budget
+) -> Iterator[list[int]]:
     """Include/exclude search over universe indices 0..total-1 for the
     largest family containing no copy, if it is larger than ``best``.
 
-    Returns the first such maximum in include-first order (None when
-    none beats ``best``), the number of search nodes, and whether the
-    search finished within ``limit`` nodes.
+    Yields each family larger than all before it, so the last one yielded
+    is the first maximum in include-first order; each node ticks ``budget``.
 
     Forward checking: per copy, ``left`` counts the edges not yet
     included and ``rest`` sums their indices.  Once a copy has one edge
@@ -258,8 +273,6 @@ def _search(
         if len(copy) == 1:
             blocked[copy[0]] += 1
     current: list[int] = []
-    found: Optional[list[int]] = None
-    nodes = 0
     # Depth-first.  (idx, ahead) visits the node that decides edge idx,
     # where ``ahead`` counts the blocked edges from idx on; (~idx, 0)
     # takes edge idx back out once its include subtree is done.
@@ -275,9 +288,7 @@ def _search(
                 rest[c] += idx
             current.pop()
             continue
-        nodes += 1
-        if limit is not None and nodes > limit:
-            return found, nodes, False
+        budget.tick()
         if len(current) + (total - idx) - ahead <= best or idx == total:
             continue
         if blocked[idx]:
@@ -295,10 +306,9 @@ def _search(
                 fresh += blocked[rest[c]] == 1
         if len(current) > best:
             best = len(current)
-            found = list(current)
+            yield list(current)
         stack.append((~idx, 0))
         stack.append((idx + 1, ahead + fresh))
-    return found, nodes, True
 
 
 def turan_oracle(
@@ -313,11 +323,11 @@ def turan_oracle(
     The witness is the first maximum family in include-first colex
     order; ``nodes`` counts search nodes.
 
-    The copy list costs one step per injective map of the pattern's
-    support, P(n, |support|), charged to ``budget`` before the search.
-    A budget too small for it returns the seed with ``certified=False``
-    and no search; one that runs out during the search returns the best
-    family so far, also with ``certified=False``.
+    One ``budget`` is charged P(n, |support|) steps for the copy list (one
+    per injective map of the pattern's support), then one per search node.
+    Running out in the copy list returns the seed with ``certified=False``
+    and ``nodes`` 0; running out in the search returns the best family so
+    far, also with ``certified=False``.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
@@ -327,27 +337,27 @@ def turan_oracle(
         raise ValueError("the empty pattern is contained in every hypergraph")
 
     seeds = []
-    t_cov, _ = tau(pattern)
     if n >= r:
-        seeds.append(gen_S(n, r, min(t_cov - 1, n)))
-        s_cut, _ = sigma(pattern)
-        if s_cut != float("inf"):
-            seeds.append(gen_C(n, r, min(int(s_cut) - 1, n)))
+        seeds.append(_construction(pattern, n, "S"))
+        with contextlib.suppress(ValueError):  # no C seed without a cross-cut
+            seeds.append(_construction(pattern, n, "C"))
     seed = max(seeds, key=lambda g: g.m, default=Hypergraph(n, (), uniform_r=r))
     if not is_free(seed, pattern):
         raise RuntimeError("lower-bound seed contains the pattern; construction bug")
 
     best_edges: Sequence[Iterable[int]] = seed.edges
-    nodes = 0
     build = math.perm(n, len(pattern.support()))
-    certified = budget is None or build <= budget
-    if certified:
+    tracker = _Budget(budget)
+    try:
+        tracker.tick(build)
         universe = _colex_universe(n, r)
         copies = _pattern_copies(pattern, n, universe)
-        limit = None if budget is None else budget - build
-        found, nodes, certified = _search(len(universe), copies, seed.m, limit)
-        if found is not None:
+        for found in _search(len(universe), copies, seed.m, tracker):
             best_edges = [universe[i] for i in found]
+        certified = True
+    except BudgetExceeded:
+        certified = False
+    nodes = max(tracker.nodes - build, 0)  # search nodes only, not the copy list's steps
 
     best = len(best_edges)
     witness = Hypergraph(n, sorted(tuple(sorted(e)) for e in best_edges), uniform_r=r)
@@ -366,21 +376,10 @@ def certify_construction_free(pattern: Hypergraph, n: int, which: str) -> bool:
     A False return means the construction machinery itself is broken and
     is logged as an error.
     """
-    r = pattern.require_uniform()
-    if which == "S":
-        t_cov, _ = tau(pattern)
-        family = gen_S(n, r, min(t_cov - 1, n))
-    elif which == "C":
-        s_cut, _ = sigma(pattern)
-        if s_cut == float("inf"):
-            raise ValueError("the exact-intersection construction needs finite sigma")
-        family = gen_C(n, r, min(int(s_cut) - 1, n))
-    else:
-        raise ValueError("construction must be 'S' or 'C'")
-    ok = is_free(family, pattern)
+    ok = is_free(_construction(pattern, n, which), pattern)
     if not ok:
         log.error(
-            "construction %s(n=%d, r=%d) unexpectedly contains the pattern", which, n, r
+            "construction %s(n=%d, r=%d) unexpectedly contains the pattern", which, n, pattern.uniform_r
         )
     return ok
 
@@ -416,19 +415,16 @@ def missing_vs_nonm_check(
     graph: Hypergraph, pattern: Hypergraph, budget: Optional[int] = None
 ) -> MissingVsNonM:
     """|G_0| <= (m-1) * |complement(G)| where G_0 collects the edges of G
-    lying in no copy of the m-edge pattern inside G."""
+    lying in no copy of the m-edge pattern inside G.  One anchored search
+    per edge runs on G itself, all charging one ``budget``."""
     m = pattern.m
     if m < 2:
         raise ValueError("the count needs a pattern with at least 2 edges")
     r = pattern.require_uniform()
     if graph.uniform_r != r or not graph.is_simple():
         raise ValueError("the graph must be simple and share the pattern uniformity")
-    sets = list(graph.edge_sets)
-    uncovered = 0
-    for i, e in enumerate(sets):
-        rest = sets[:i] + sets[i + 1 :]
-        if not contains_anchored(pattern, rest, e, budget=budget):
-            uncovered += 1
+    tracker = _Budget(budget)
+    uncovered = sum(not _anchored(pattern, graph, e, tracker) for e in graph.edge_sets)
     missing = _comb(graph.n, r) - graph.m
     bound = (m - 1) * missing
     return MissingVsNonM(uncovered, bound, uncovered <= bound)

@@ -565,7 +565,7 @@ def delete_crosscut(
 
     reduced = remove(sub, s)
     if reduced.m == 0:
-        return Hypergraph(sub.n, (), uniform_r=r - 1), TreeCertificate((), {})
+        return _in_order(Hypergraph(sub.n, (), uniform_r=r - 1), {})
 
     traced, traced_cert = remove_certified(tree, cert, s | picks)
     fresh = tree.n

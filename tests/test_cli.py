@@ -227,6 +227,35 @@ def test_verify_budget_exhausted_is_usage_error(tmp_path, capsys, c34):
     assert err == "error: search budget of 10 nodes exhausted\n"
 
 
+def test_verify_budget_bounds_the_whole_check(tmp_path, capsys, c34):
+    # the 20 anchored checks take at most 24 nodes each and 174 together
+    import random
+
+    from helpers import random_hypergraph
+
+    g = write(tmp_path, "g.json", random_hypergraph(random.Random(0), 9, 3, 20))
+    m = write(tmp_path, "c34.json", c34)
+    code, out, err = run(capsys, "--budget", "100", "verify", "--prop", "9.1", g, m)
+    assert code == 2 and out == ""
+    assert err == "error: search budget of 100 nodes exhausted\n"
+    code, out, _ = run(capsys, "--budget", "174", "verify", "--prop", "9.1", g, m)
+    assert code == 0 and json.loads(out)["results"]["uncovered"] == 1
+
+
+@pytest.mark.parametrize("command", ["embed", "turan"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, c34, command):
+    from hgx import gen_C
+
+    h = write(tmp_path, "c34.json", c34)
+    f = write(tmp_path, "star.json", gen_C(10, 3, 1))
+    argv = {"embed": ["embed", h, f], "turan": ["turan", "-n", "6", "-r", "3", "--forbid", h]}
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "-5", *argv[command]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget: must be non-negative" in captured.err
+
+
 def test_table_rendering(tmp_path, capsys, t3):
     path = write(tmp_path, "t3.json", t3)
     code, out, _ = run(capsys, "--table", "tau", path)
@@ -286,7 +315,8 @@ def test_missing_subcommand_usage_error():
     assert exc.value.code == 2
 
 
-def test_env_budget_override(tmp_path, capsys, c34, monkeypatch):
+def test_env_budget_has_no_effect(tmp_path, capsys, c34, monkeypatch):
+    # --budget is the only budget knob; HG_BUDGET is not read
     from hgx import gen_C
 
     h = write(tmp_path, "c34.json", c34)
@@ -294,7 +324,6 @@ def test_env_budget_override(tmp_path, capsys, c34, monkeypatch):
     monkeypatch.setenv("HG_BUDGET", "3")
     code, out, _ = run(capsys, "embed", h, f)
     assert code == 0
-    assert json.loads(out)["results"]["status"] == "budget"
-    # an explicit flag wins over the environment
-    code, out, _ = run(capsys, "--budget", "1000000", "embed", h, f)
     assert json.loads(out)["results"]["status"] == "none"
+    code, out, _ = run(capsys, "--budget", "3", "embed", h, f)
+    assert json.loads(out)["results"]["status"] == "budget"

@@ -1,13 +1,15 @@
-"""Byte-identity pins for tree certificates and embedding searches.
+"""Byte-identity pins for tree certificates, embedding searches and the
+Turan oracle.
 
 Each test serialises every answer over a seeded corpus and compares its
 sha256 digest with a pinned literal, so any change in a certificate, a
-``tight`` flag, a tree transform or an ``embed`` result (search node
-counts included) fails.
+``tight`` flag, a tree transform, an ``embed`` result or an oracle
+answer (search node counts and ``certified`` flags included) fails.
 """
 
 import hashlib
 import json
+import math
 import random
 
 from helpers import random_hypergraph, random_multi_hypergraph, random_tree
@@ -20,7 +22,17 @@ from hgx import (
     r_partition,
     tighten,
     trace_certified,
+    turan_oracle,
 )
+
+# the benchmark's oracle patterns: name -> (r, edges)
+ORACLE_PATTERNS = {
+    "M2": (3, [(0, 1, 2), (3, 4, 5)]),
+    "L32": (3, [(0, 1, 2), (0, 3, 4)]),
+    "P": (3, [(0, 1, 2), (1, 2, 3)]),
+    "K3": (2, [(0, 1), (0, 2), (1, 2)]),
+    "2K2": (2, [(0, 1), (2, 3)]),
+}
 
 
 def _digest(lines: list[str]) -> str:
@@ -119,6 +131,22 @@ def _embed_lines() -> list[str]:
     return lines
 
 
+def _oracle_lines() -> list[str]:
+    """Every bench pattern at n = r..7 under budgets that run out in the
+    copy list (below ``build``, the copy list's P(n, |support|) steps),
+    exactly at it, during the search, or not at all."""
+    lines = []
+    for name, (r, edges) in ORACLE_PATTERNS.items():
+        pattern = Hypergraph(1 + max(max(e) for e in edges), edges, uniform_r=r)
+        for n in range(r, 8):
+            build = math.perm(n, len(pattern.support()))
+            for budget in (None, 0, build - 1, build, build + 1, build + 10, build + 300):
+                res = turan_oracle(n, r, pattern, budget=budget)
+                row = [name, n, budget, res.value, res.witness.edges, res.nodes, res.certified]
+                lines.append(json.dumps(row))
+    return lines
+
+
 def test_tree_certificates_and_transforms_are_pinned():
     lines = _tree_lines()
     assert len(lines) == 3301
@@ -129,3 +157,9 @@ def test_embed_results_are_pinned():
     lines = _embed_lines()
     assert len(lines) == 600
     assert _digest(lines) == "0e47c93bebeb92c425af6baf24fc93c55d700dca790d183abadf4f5c3673d3e8"
+
+
+def test_oracle_answers_are_pinned():
+    lines = _oracle_lines()
+    assert len(lines) == 189
+    assert _digest(lines) == "5111fbc7ec6a89e560ede285e07ec6abc813b8941f8a1ff03afdd0f37558ab29"

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import random_hypergraph
 from hgx import (
+    BudgetExceeded,
     Hypergraph,
     bound_sigma_lower,
     bound_tau_lower,
@@ -362,6 +363,34 @@ def test_missing_vs_nonm_random():
     for _ in range(40):
         g = random_hypergraph(rng, rng.randint(6, 8), 3, rng.randint(0, 20))
         assert missing_vs_nonm_check(g, m2).holds
+
+
+def test_missing_vs_nonm_matches_exhaustive_scan():
+    from helpers import brute_contains_anchored
+
+    rng = random.Random(83)
+    patterns = [
+        gen_standard("matching", s=2, r=3),
+        gen_standard("linear_cycle", m=3, r=3),
+        Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3),
+    ]
+    for _ in range(30):
+        pattern = rng.choice(patterns)
+        g = random_hypergraph(rng, rng.randint(5, 7), 3, rng.randint(1, 14))
+        sets = list(g.edge_sets)
+        uncovered = sum(
+            not brute_contains_anchored(pattern, sets[:i] + sets[i + 1 :], e)
+            for i, e in enumerate(sets)
+        )
+        assert missing_vs_nonm_check(g, pattern).uncovered == uncovered
+
+
+def test_missing_vs_nonm_budget_covers_the_whole_check(c34):
+    # 20 anchored checks of at most 24 nodes each, 174 in total
+    g = random_hypergraph(random.Random(0), 9, 3, 20)
+    with pytest.raises(BudgetExceeded):
+        missing_vs_nonm_check(g, c34, budget=173)
+    assert tuple(missing_vs_nonm_check(g, c34, budget=174)) == (1, 192, True)
 
 
 def test_missing_vs_nonm_rejects_single_edge_pattern():

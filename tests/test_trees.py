@@ -439,6 +439,15 @@ def test_delete_crosscut_single_edge():
     assert edge_set(out) == {(1, 2)}
 
 
+def test_delete_crosscut_empty_remainder_is_tight():
+    # an edgeless remainder gets the certificate recognition gives it
+    g = Hypergraph(2, [[0], [1]], uniform_r=1)
+    out, cert = delete_crosscut(g, g, find_tree_ordering(g), {0, 1})
+    assert out.m == 0
+    assert cert == find_tree_ordering(out)
+    assert cert.tight
+
+
 # -- reductions -----------------------------------------------------------------------
 
 
