@@ -60,9 +60,7 @@ def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     hg, digest = _load(args.file)
-    cert = trees.find_tree_ordering(hg, require_tight=True)
-    if cert is None:
-        cert = trees.find_tree_ordering(hg)
+    cert = trees.find_tree_ordering(hg)
     tau_val, tau_wit = covers.tau(hg)
     sigma_val, sigma_wit = covers.sigma(hg)
     reducibility: Optional[int] = None
@@ -178,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = {
             "x": round(check.x, 9),
             "bound": round(check.bound, 9),
-            "shadow": core.shadow(hg, args.p).m,
+            "shadow": check.shadow,
             "holds": check.holds,
         }
         passed = check.holds
@@ -188,9 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         hg, digest = _load(args.files[0])
         inputs[args.files[0]] = digest
         which = "S" if prop == "3.1" else "C"
-        family = extremal._construction(hg, args.n, which)
-        bound_of = extremal.bound_tau_lower if which == "S" else extremal.bound_sigma_lower
-        bound = bound_of(hg, args.n)
+        family, bound = extremal._construction(hg, args.n, which)
         free = embedding.is_free(family, hg)
         results = {
             "construction": which,

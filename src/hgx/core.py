@@ -388,6 +388,7 @@ class KKCheck(NamedTuple):
     x: float
     bound: float
     holds: bool
+    shadow: int  # edges of the p-shadow
 
 
 def kk_check(hg: Hypergraph, p: int, tol: float = 1e-9) -> KKCheck:
@@ -418,4 +419,4 @@ def kk_check(hg: Hypergraph, p: int, tol: float = 1e-9) -> KKCheck:
     x = (lo + hi) / 2
     bound = real_binomial(x, p)
     shadow_size = shadow(hg, p).m
-    return KKCheck(x=x, bound=bound, holds=shadow_size >= bound - 1e-6)
+    return KKCheck(x=x, bound=bound, holds=shadow_size >= bound - 1e-6, shadow=shadow_size)

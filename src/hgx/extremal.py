@@ -16,6 +16,7 @@ import itertools
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -59,19 +60,35 @@ def gen_C(n: int, r: int, t: int) -> Hypergraph:
     return out
 
 
-def _construction(pattern: Hypergraph, n: int, which: str) -> Hypergraph:
-    """``gen_S`` on a (tau-1)-set or ``gen_C`` on a (sigma-1)-set of [n]:
-    the pattern-free lower-bound constructions of Props 3.1 and 3.2."""
-    r = pattern.require_uniform()
+def _parameter(pattern: Hypergraph, which: str) -> int:
+    """tau of the pattern for the S construction, its finite sigma for C."""
+    pattern.require_uniform()
     if which == "S":
-        t_cov, _ = tau(pattern)
-        return gen_S(n, r, min(t_cov - 1, n))
+        return tau(pattern)[0]
     if which != "C":
         raise ValueError("construction must be 'S' or 'C'")
     s_cut, _ = sigma(pattern)
     if s_cut == float("inf"):
         raise ValueError("pattern has no cross-cut; 3.2 does not apply")
-    return gen_C(n, r, min(int(s_cut) - 1, n))
+    return int(s_cut)
+
+
+def _closed_form(pattern: Hypergraph, n: int, which: str, t: int) -> int:
+    """The size Props 3.1 and 3.2 state for the construction on n
+    vertices, given the pattern's ``_parameter`` t."""
+    r = pattern.require_uniform()
+    if which == "S":
+        return sum(_comb(n - i, r - 1) for i in range(1, t))
+    return (t - 1) * _comb(n - t + 1, r - 1)
+
+
+def _construction(pattern: Hypergraph, n: int, which: str) -> tuple[Hypergraph, int]:
+    """``gen_S`` on a (tau-1)-set or ``gen_C`` on a (sigma-1)-set of [n]:
+    the pattern-free lower-bound constructions of Props 3.1 and 3.2,
+    with their closed-form sizes, both from one tau or sigma."""
+    t = _parameter(pattern, which)
+    family = (gen_S if which == "S" else gen_C)(n, pattern.uniform_r, min(t - 1, n))
+    return family, _closed_form(pattern, n, which, t)
 
 
 def _matching(s: int, r: int) -> Hypergraph:
@@ -179,19 +196,12 @@ def gen_standard(name: str, **params) -> Hypergraph:
 
 def bound_tau_lower(pattern: Hypergraph, n: int) -> int:
     """Sum of C(n-i, r-1) for i = 1..tau-1."""
-    r = pattern.require_uniform()
-    t, _ = tau(pattern)
-    return sum(_comb(n - i, r - 1) for i in range(1, t))
+    return _closed_form(pattern, n, "S", _parameter(pattern, "S"))
 
 
 def bound_sigma_lower(pattern: Hypergraph, n: int) -> int:
     """(sigma-1) * C(n-sigma+1, r-1); needs a finite cross-cut number."""
-    r = pattern.require_uniform()
-    s, _ = sigma(pattern)
-    if s == float("inf"):
-        raise ValueError("pattern has no cross-cut")
-    s = int(s)
-    return (s - 1) * _comb(n - s + 1, r - 1)
+    return _closed_form(pattern, n, "C", _parameter(pattern, "C"))
 
 
 def critical_formula(n: int, r: int, sig: int) -> int:
@@ -338,9 +348,9 @@ def turan_oracle(
 
     seeds = []
     if n >= r:
-        seeds.append(_construction(pattern, n, "S"))
+        seeds.append(_construction(pattern, n, "S")[0])
         with contextlib.suppress(ValueError):  # no C seed without a cross-cut
-            seeds.append(_construction(pattern, n, "C"))
+            seeds.append(_construction(pattern, n, "C")[0])
     seed = max(seeds, key=lambda g: g.m, default=Hypergraph(n, (), uniform_r=r))
     if not is_free(seed, pattern):
         raise RuntimeError("lower-bound seed contains the pattern; construction bug")
@@ -376,7 +386,7 @@ def certify_construction_free(pattern: Hypergraph, n: int, which: str) -> bool:
     A False return means the construction machinery itself is broken and
     is logged as an error.
     """
-    ok = is_free(_construction(pattern, n, which), pattern)
+    ok = is_free(_construction(pattern, n, which)[0], pattern)
     if not ok:
         log.error(
             "construction %s(n=%d, r=%d) unexpectedly contains the pattern", which, n, pattern.uniform_r
@@ -466,6 +476,21 @@ def _projection(e: frozenset[int], class_of: Mapping[int, int], idx: frozenset[i
     return frozenset(v for v in e if class_of.get(v) in idx)
 
 
+def _weak_projections(
+    family: Hypergraph,
+    sets: Iterable[frozenset[int]],
+    class_of: Mapping[int, int],
+    index_sets: Iterable[frozenset[int]],
+    threshold: int,
+) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """Each (edge, index set) whose projection has kernel degree below
+    ``threshold`` in ``family``, edge by edge."""
+    for e in sets:
+        for idx in index_sets:
+            if kernel_degree(family, _projection(e, class_of, idx), threshold) < threshold:
+                yield e, idx
+
+
 @dataclass(frozen=True)
 class HomogeneityReport:
     partition: tuple[frozenset[int], ...]
@@ -511,16 +536,13 @@ def homogeneous_check(
     kernel_ok = True
     forbidden_ok = True
     if r_partite:
-        for e in sets:
-            for idx in pat:
-                if kernel_degree(family, _projection(e, class_of, idx), threshold) < threshold:
-                    kernel_ok = False
-                    failures.append(
-                        f"kernel degree below threshold at projection {sorted(idx)} of {sorted(e)}"
-                    )
-                    break
-            if not kernel_ok:
-                break
+        weak = next(_weak_projections(family, sets, class_of, pat, threshold), None)
+        if weak is not None:
+            kernel_ok = False
+            e, idx = weak
+            failures.append(
+                f"kernel degree below threshold at projection {sorted(idx)} of {sorted(e)}"
+            )
         for a, b in itertools.combinations(sets, 2):
             occurring = frozenset(class_of[v] for v in a & b)
             if occurring not in pat:
@@ -604,12 +626,10 @@ def classify(
         good = True
         for e in sets:
             spoke = _projection(e, class_of, frozenset([i]))
-            if len(spoke) != 1 or degree(family, e - spoke) != 1:
-                good = False
-                break
-            if any(
-                kernel_degree(family, _projection(e, class_of, idx), threshold) < threshold
-                for idx in through_i
+            if (
+                len(spoke) != 1
+                or degree(family, e - spoke) != 1
+                or any(_weak_projections(family, [e], class_of, through_i, threshold))
             ):
                 good = False
                 break
@@ -694,12 +714,7 @@ def homogeneous_extract(
                 for a, b in itertools.combinations(survivors, 2)
             }
             pat = _closure(occurring) if occurring else set()
-            bad: dict[frozenset[int], int] = {}
-            for e in survivors:
-                for idx in pat:
-                    proj = frozenset(v for v in e if assignment[v] in idx)
-                    if kernel_degree(sub, proj, threshold) < threshold:
-                        bad[e] = bad.get(e, 0) + 1
+            bad = Counter(e for e, _ in _weak_projections(sub, survivors, assignment, pat, threshold))
             if not bad:
                 break
             worst = max(bad.items(), key=lambda kv: (kv[1], sorted(kv[0])))

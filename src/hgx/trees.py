@@ -4,10 +4,10 @@ A tree certificate is an edge ordering plus a parent map witnessing the
 running-intersection property: every edge meets the union of its
 predecessors inside its parent edge.  Recognition is greedy GYO ear
 removal, which is polynomial and cannot get stuck on a tree, even with
-the first edge pinned (Beeri, Fagin, Maier & Yannakakis 1983); tight
-recognition is also a single greedy pass, adding one edge and one new
-vertex at a time.  All transformation outputs are re-verified before
-they are returned.
+the first edge pinned (Beeri, Fagin, Maier & Yannakakis 1983).  Every
+tree ordering of a tight tree is tight, so tight recognition is the
+same ear removal plus a check of the certificate's ``tight`` flag.
+All transformation outputs are re-verified before they are returned.
 
 Certificate positions are 0-based: ``order`` is a permutation of edge
 indices and ``parent`` maps every position ``i >= 1`` to a position
@@ -201,57 +201,6 @@ def _removal_order(
     return order, parent
 
 
-def _tight_order(
-    dist: Sequence[frozenset[int]], root_pos: Optional[int]
-) -> Optional[tuple[list[int], dict[int, int]]]:
-    """Tight ordering of distinct uniform edges by one forward greedy pass.
-
-    Starts at the root (edge 0 when none is given) and keeps adding the
-    lowest-index unused edge that has exactly one vertex outside the
-    union so far and whose overlap with it lies in a placed edge; the
-    first such placed edge is its parent.  Greedy cannot get stuck on a
-    tight tree, so None means there is no tight ordering:
-
-    1. k distinct r-sets with a tight ordering span r+k-1 vertices.
-    2. In any tree ordering of them each later edge adds at least one
-       vertex, so by 1 exactly one: every tree ordering of a tight tree
-       is tight.
-    3. Every edge starts some tree ordering (BFMY, as in
-       ``_removal_order``), so every edge starts a tight ordering.
-    4. Let S be a tight prefix short of all edges, T a tight ordering
-       starting at S's first edge and g the first edge of T outside S.
-       Every edge of T adds a vertex unseen before it, so S plus g spans
-       at least r+|S| vertices and g's new vertex lies outside the union
-       of S; g's overlap with that union then lies in its parent, which
-       is in S.  So g qualifies.
-    """
-    k = len(dist)
-    if k == 0:
-        return [], {}
-    if _infer_r(dist) is None:
-        return None
-    start = 0 if root_pos is None else root_pos
-    order = [start]
-    parent: dict[int, int] = {}
-    union = dist[start]
-    unused = [i for i in range(k) if i != start]
-    while unused:
-        for i in unused:
-            overlap = dist[i] & union
-            if len(dist[i]) - len(overlap) != 1:
-                continue
-            par = next((p for p, j in enumerate(order) if overlap <= dist[j]), None)
-            if par is not None:
-                break
-        else:
-            return None
-        parent[len(order)] = par
-        order.append(i)
-        unused.remove(i)
-        union |= dist[i]
-    return order, parent
-
-
 def find_tree_ordering(
     hg: Hypergraph, root: Optional[int] = None, require_tight: bool = False
 ) -> Optional[TreeCertificate]:
@@ -259,20 +208,26 @@ def find_tree_ordering(
 
     Duplicate edges are ordered after their first copies (first copies
     carry the structure).  With ``root`` given, only orderings whose
-    first edge is the rooted one are accepted; with ``require_tight``
-    only tight certificates are returned.  ``None`` is an answer, not an
-    error.
+    first edge is the rooted one are accepted.  ``None`` is an answer,
+    not an error.
+
+    With ``require_tight`` the same certificate is returned when it is
+    tight and None otherwise, because every tree ordering of a tight
+    tree is tight.  Let k distinct r-sets have a tight ordering, so they
+    span r+k-1 vertices.  In any tree ordering each later edge adds at
+    least one new vertex, or it would lie inside its parent; so each
+    adds exactly one, and its r-1 old vertices lie in its parent.
+    Repeated edges or mixed edge sizes admit no tight ordering, and
+    ``_is_tight`` says so.
     """
     if root is not None and not 0 <= root < hg.m:
         raise ValueError("root edge index out of range")
     sets, dist = hg.edge_sets, hg.distinct_edges
-    if require_tight and len(dist) < hg.m:
-        return None
     first: dict[frozenset[int], int] = {}
     for idx, s in enumerate(sets):
         first.setdefault(s, idx)
     root_pos = dist.index(sets[root]) if root is not None else None
-    found = (_tight_order if require_tight else _removal_order)(dist, root_pos)
+    found = _removal_order(dist, root_pos)
     if found is None:
         return None
     order_pos, parent = found
@@ -282,7 +237,8 @@ def find_tree_ordering(
         if idx != first[s]:
             parent[len(order)] = place[s]
             order.append(idx)
-    return _certified(hg, order, parent)
+    cert = _certified(hg, order, parent)
+    return cert if cert.tight or not require_tight else None
 
 
 # -- tight completion ------------------------------------------------------

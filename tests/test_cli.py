@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hgx import Hypergraph, gen_standard
+from hgx import Hypergraph, find_tree_ordering, gen_standard
 from hgx.cli import main
 
 
@@ -33,6 +33,19 @@ def test_analyze_t3(tmp_path, capsys, t3):
     assert res["certificate"]["order"] == [0, 1, 2]
     assert res["reducibility"] == 0
     assert sorted(map(sorted, res["partition"])) == [[0, 3], [1, 4], [2]]
+
+
+def test_analyze_certifies_a_tight_tree_with_its_plain_certificate(tmp_path, capsys):
+    # a shuffled tight 3-tree: the certificate is the one plain recognition
+    # gives, whose last edge hangs off its third, not its second
+    hg = Hypergraph(6, [[0, 1, 4], [0, 2, 3], [0, 2, 5], [0, 1, 2]], uniform_r=3)
+    path = write(tmp_path, "tight.json", hg)
+    code, out, _ = run(capsys, "analyze", path, "--certify")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["tight"] is True
+    assert res["certificate"] == find_tree_ordering(hg).to_json_obj()
+    assert res["certificate"]["parent"] == {"1": 0, "2": 1, "3": 2}
 
 
 def test_analyze_c34(tmp_path, capsys, c34):
@@ -196,6 +209,32 @@ def test_verify_constructions(tmp_path, capsys, c34):
     assert code == 0 and json.loads(out)["results"]["holds"]
     code, out, _ = run(capsys, "verify", "--prop", "3.1", path, "-n", "10")
     assert code == 0 and json.loads(out)["results"]["holds"]
+
+
+def test_verify_computes_each_value_once(tmp_path, capsys, monkeypatch, c34, k35):
+    from hgx import core, extremal
+
+    calls = {"tau": 0, "sigma": 0, "shadow": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(extremal, "tau")
+    counted(extremal, "sigma")
+    counted(core, "shadow")
+    c34_path = write(tmp_path, "c34.json", c34)
+    k35_path = write(tmp_path, "k35.json", k35)
+    assert run(capsys, "verify", "--prop", "3.1", c34_path, "-n", "10")[0] == 0
+    assert run(capsys, "verify", "--prop", "3.2", c34_path, "-n", "10")[0] == 0
+    code, out, _ = run(capsys, "verify", "--prop", "kk", k35_path, "-p", "2")
+    assert code == 0 and json.loads(out)["results"]["shadow"] == 10
+    assert calls == {"tau": 1, "sigma": 1, "shadow": 1}
 
 
 def test_verify_tree_shadow_rejects_non_tree(tmp_path, capsys, c34):

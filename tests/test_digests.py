@@ -90,14 +90,16 @@ def _pair_json(pair) -> str:
     return json.dumps([hg.n, hg.uniform_r, hg.edges, cert.to_json_obj()], sort_keys=True)
 
 
-def _tree_lines() -> list[str]:
+def _tree_lines() -> tuple[list[str], list[str]]:
+    """Lines for every answer but the tight-mode certificates, and the
+    tight-mode certificates (``require_tight=True``) on their own."""
     rng = random.Random(7)
-    lines = []
+    lines, tight_lines = [], []
     for hg in _tree_corpus():
         lines.append(json.dumps(hg.to_json_obj(), sort_keys=True))
-        for tight in (False, True):
-            for root in (None, *range(hg.m)):
-                lines.append(_cert_json(find_tree_ordering(hg, root, require_tight=tight)))
+        for root in (None, *range(hg.m)):
+            lines.append(_cert_json(find_tree_ordering(hg, root)))
+            tight_lines.append(_cert_json(find_tree_ordering(hg, root, require_tight=True)))
         cert = find_tree_ordering(hg)
         if cert is None:
             continue
@@ -109,7 +111,7 @@ def _tree_lines() -> list[str]:
         lines.append(_pair_json(tighten(hg, cert)))
         sub = Hypergraph(hg.n, [rng.choice(hg.edges)], uniform_r=hg.uniform_r)
         lines.append(_pair_json(host_tree(sub, hg, cert)))
-    return lines
+    return lines, tight_lines
 
 
 def _embed_lines() -> list[str]:
@@ -148,9 +150,24 @@ def _oracle_lines() -> list[str]:
 
 
 def test_tree_certificates_and_transforms_are_pinned():
-    lines = _tree_lines()
-    assert len(lines) == 3301
-    assert _digest(lines) == "77980d5976a13b80f79cde8b70e8bb70b91b49a9c107e6db44f175d812f9200c"
+    lines, _ = _tree_lines()
+    assert len(lines) == 2062
+    assert _digest(lines) == "683a810477f050755167de6264f84c61ecae6ac18e2b981f62364eabda68560f"
+
+
+def test_tight_mode_certificates_are_pinned():
+    # tight mode returns the plain certificate when it is tight
+    _, lines = _tree_lines()
+    assert len(lines) == 1239
+    assert _digest(lines) == "7d51752887ffd31d317098fa92f15a2dd1e67c91fe28e09e1a93cf2e1d03f5c2"
+
+
+def test_tight_mode_is_the_plain_certificate_when_tight():
+    for hg in _tree_corpus():
+        for root in (None, *range(hg.m)):
+            plain = find_tree_ordering(hg, root)
+            tight = find_tree_ordering(hg, root, require_tight=True)
+            assert tight == (plain if plain is not None and plain.tight else None)
 
 
 def test_embed_results_are_pinned():

@@ -441,6 +441,48 @@ def test_homogeneous_flags_missing_pattern():
     assert not report.forbidden_ok
 
 
+def test_homogeneous_flags_low_kernel_degree():
+    star, partition = rainbow_star()
+    # every projection through the hub has kernel degree 3; the report
+    # names the first failing one and stops scanning
+    report = homogeneous_check(star, partition, [{0}, {0, 1}, {0, 2}], 4)
+    assert (report.r_partite_ok, report.kernel_ok, report.forbidden_ok, report.closed_ok) == (
+        True, False, True, True
+    )
+    assert report.failures == ("kernel degree below threshold at projection [0, 1] of [0, 1, 4]",)
+
+
+def test_homogeneous_flags_non_partite_family(t3):
+    # edge [2,3,4] has two vertices in the class {2,4}; under the second
+    # partition vertices 3 and 4 lie in no class
+    for partition in ([{0, 3}, {1}, {2, 4}], [{0}, {1}, {2}]):
+        report = homogeneous_check(t3, partition, [], 1)
+        assert not report.r_partite_ok and not report.homogeneous
+        assert report.kernel_ok and report.forbidden_ok and report.closed_ok
+        assert report.failures == ("family is not r-partite under the given partition",)
+
+
+def test_classify_case_2_before_case_3():
+    star, partition = rainbow_star()
+    # classes 0 and 1 avoid the pattern {∅, {2}}, which holds every
+    # subset of the remaining class 2
+    got = classify(star, partition, [set(), {2}], 3)
+    assert (got.case, got.cases, got.central_class) == (2, (2, 3), 0)
+
+
+def test_classify_rejects_central_classes():
+    star, partition = rainbow_star()
+    # with the hub's class second, class 0 fails the unique-completion
+    # test (an edge minus its class-0 vertex lies in three edges)
+    moved = [partition[1], partition[0], partition[2]]
+    got = classify(star, moved, [{1}, {0, 1}, {1, 2}], 3)
+    assert (got.case, got.cases, got.central_class) == (3, (3,), 1)
+    assert set(got.central.values()) == {0}
+    # at threshold 4 the hub's projections fall short, and no class is central
+    got = classify(star, partition, [{0}, {0, 1}, {0, 2}], 4)
+    assert (got.case, got.cases, got.central_class, got.central) == (None, (), None, None)
+
+
 def test_homogeneous_check_rejects_malformed_partition(t3):
     with pytest.raises(ValueError):
         homogeneous_check(t3, [{0}, {1}], [], 1)
@@ -482,6 +524,16 @@ def test_extract_outputs_verify():
     # the star family keeps a nonempty homogeneous core
     out, _, _ = homogeneous_extract(gen_C(9, 3, 1), 2, tries=6, seed=5)
     assert out.m > 0
+
+
+def test_extract_drops_the_edge_with_most_weak_projections():
+    # pins the greedy: each round removes the edge with the most
+    # projections below the threshold, so every weak one must be counted
+    fam = random_hypergraph(random.Random(83), 8, 3, 25)
+    out, partition, pattern = homogeneous_extract(fam, 2, tries=6, seed=5)
+    assert out.edges == ((1, 2, 3), (1, 3, 5))
+    assert partition == (frozenset({0, 2, 4, 5, 6}), frozenset({1, 7}), frozenset({3}))
+    assert pattern == frozenset({frozenset({1, 2})})
 
 
 def test_extract_deterministic_per_seed():

@@ -87,8 +87,8 @@ def test_recognition_matches_brute_force_ordering_search():
 
 
 def test_tight_recognition_matches_brute_force_ordering_search():
-    # Tight recognition is a forward greedy pass with no backtracking; the
-    # second route is plain search over edge permutations.
+    # Tight recognition is ear removal plus the certificate's tight flag;
+    # the second route is plain search over edge permutations.
     rng = random.Random(137)
     answers = {True: 0, False: 0}
     for _ in range(300):

@@ -43,8 +43,8 @@ def test_rooted_tight_recognition(t3):
 
 
 def test_tight_flag_does_not_depend_on_declared_uniformity():
-    # t3's edges with no declared r: plain recognition infers the edge
-    # size and agrees with the tight search
+    # t3's edges with no declared r: recognition infers the edge size,
+    # so plain and tight mode agree
     g = Hypergraph(5, [[0, 1, 2], [1, 2, 3], [2, 3, 4]])
     plain = find_tree_ordering(g)
     tight = find_tree_ordering(g, require_tight=True)
