@@ -4,12 +4,13 @@ Vertices are integers ``0..n-1``.  Edges are canonicalised to sorted
 tuples.  The edge *list* is ordered because tree certificates index into
 it; edge order is ignored by equality, which compares edge multisets.
 
-Every layer reads edges through three views on the carrier:
-``distinct_edges`` (repeats dropped, first appearances kept) and
-``incidence`` (vertex -> indices into ``distinct_edges``), both cached
-on first use, and ``extensions`` (the rests of the distinct edges
-through a partial image that avoid given vertices, scanned from the
-image's rarest vertex).
+Every layer reads edges through four views on the carrier:
+``distinct_edges`` (repeats dropped, first appearances kept),
+``incidence`` (vertex -> indices into ``distinct_edges``) and ``twins``
+(vertex -> least vertex of its twin class), all cached on first use,
+and ``extensions`` (the rests of the distinct edges through a partial
+image that avoid given vertices, scanned from the image's rarest
+vertex).
 
 Every operation here is a pure function of immutable values, so objects
 can be shared freely across threads.
@@ -38,7 +39,7 @@ class Hypergraph:
     is a construction error.
     """
 
-    __slots__ = ("n", "edges", "uniform_r", "allow_multi", "_sets", "_distinct", "_incidence")
+    __slots__ = ("n", "edges", "uniform_r", "allow_multi", "_sets", "_distinct", "_incidence", "_twins")
 
     def __init__(
         self,
@@ -64,6 +65,7 @@ class Hypergraph:
         self._sets: Optional[tuple[frozenset[int], ...]] = None
         self._distinct: Optional[tuple[frozenset[int], ...]] = None
         self._incidence: Optional[dict[int, list[int]]] = None
+        self._twins: Optional[tuple[int, ...]] = None
 
     # -- basic views ---------------------------------------------------
 
@@ -93,6 +95,36 @@ class Hypergraph:
                 for v in e:
                     self._incidence.setdefault(v, []).append(i)
         return self._incidence
+
+    @property
+    def twins(self) -> tuple[int, ...]:
+        """Vertex -> least vertex of its twin class.
+
+        u and v are twins when swapping them maps the distinct edge set
+        onto itself, an equivalence since (u w) = (u v)(v w)(u v).  Only
+        vertices of equal degree are compared, each against the least
+        vertex of every class so far.  For those it is enough that every
+        edge through v maps onto an edge: the swap fixes the edges through
+        both or neither, and then sends the edges through v alone onto
+        the equally many through u alone.
+        """
+        if self._twins is None:
+            edges, inc = self.distinct_edges, self.incidence
+            edge_set = set(edges)
+            twins: list[int] = []
+            leaders: dict[int, list[int]] = {}  # degree -> least vertices of its classes
+            for v in range(self.n):
+                through = inc.get(v, ())
+                same = leaders.setdefault(len(through), [])
+                least = next((u for u in same if all(
+                    frozenset(u if w == v else v if w == u else w for w in edges[i]) in edge_set
+                    for i in through
+                )), v)
+                if least == v:
+                    same.append(v)
+                twins.append(least)
+            self._twins = tuple(twins)
+        return self._twins
 
     def extensions(self, img: Iterable[int], used: Collection[int] = ()) -> Iterator[frozenset[int]]:
         """``e - img`` for each distinct edge ``e`` containing ``img`` whose

@@ -61,12 +61,16 @@ def _backtrack_embed(
     vertex lying in the most-mapped edge, ties broken by descending
     degree then id; candidate targets ascend.  Pruning: every pattern
     edge must keep some host edge that contains its mapped part and
-    avoids all other used targets.
+    avoids all other used targets.  A target is skipped once a host twin
+    (``host.twins``) has failed at the same node: swapping the two fixes
+    every used target and maps the host onto itself, so its subtree fails
+    too.  Only failed subtrees are skipped, so the first map found is the
+    same as without the skip.
     """
     h_edges, edges_of = pattern.distinct_edges, pattern.incidence
     if not h_edges:
         return dict(initial or {})
-    f_set, f_inc = set(host.distinct_edges), host.incidence
+    f_set, f_inc, twins = set(host.distinct_edges), host.incidence, host.twins
     h_support = sorted(edges_of)
     if not {len(e) for e in h_edges} <= {len(e) for e in f_set}:
         return None
@@ -100,7 +104,10 @@ def _backtrack_embed(
         mapped = max((parts[i] for i in edges_of[v]), key=len)
         pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
         degree = len(edges_of[v])
+        failed = set()
         for target in sorted(w for w in pool if w not in used and len(f_inc.get(w, ())) >= degree):
+            if twins[target] in failed:
+                continue
             budget.tick()
             assignment[v] = target
             used.add(target)
@@ -111,6 +118,7 @@ def _backtrack_embed(
                     return found
             del assignment[v]
             used.discard(target)
+            failed.add(twins[target])
         return None
 
     parts = images()

@@ -237,6 +237,33 @@ def _colex_universe(n: int, r: int) -> list[frozenset[int]]:
     return out
 
 
+def _twin_classes(pattern: Hypergraph) -> list[list[int]]:
+    """The pattern's support split into twin classes, each ascending."""
+    classes: dict[int, list[int]] = {}
+    for v in sorted(pattern.incidence):
+        classes.setdefault(pattern.twins[v], []).append(v)
+    return list(classes.values())
+
+
+def _copy_charge(pattern: Hypergraph, n: int) -> int:
+    """P(n, k) / prod |class|!: the maps ``_pattern_copies`` walks for a
+    support of k vertices in the given twin classes."""
+    sizes = [len(c) for c in _twin_classes(pattern)]
+    return math.perm(n, sum(sizes)) // math.prod(math.factorial(s) for s in sizes)
+
+
+def _class_maps(sizes: Sequence[int], free: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Injective images in ``free`` for consecutive classes of the given
+    sizes, increasing within each class."""
+    if not sizes:
+        yield ()
+        return
+    for pick in itertools.combinations(free, sizes[0]):
+        rest = [w for w in free if w not in pick]
+        for tail in _class_maps(sizes[1:], rest):
+            yield pick + tail
+
+
 def _pattern_copies(
     pattern: Hypergraph, n: int, universe: Sequence[frozenset[int]]
 ) -> list[tuple[int, ...]]:
@@ -244,15 +271,18 @@ def _pattern_copies(
 
     Each injective map of the pattern's support into range(n) gives a
     copy: the sorted tuple of the universe indices of its edge images.
-    Maps that differ by an automorphism give the same copy, kept once.
+    Permuting a twin class (``Hypergraph.twins``) maps the pattern onto
+    itself, so only maps that send each class to increasing images are
+    walked (Grochow & Kellis 2007); ``_copy_charge`` counts them.  Maps
+    that still differ by an automorphism give the same copy, kept once.
     """
     index = {e: i for i, e in enumerate(universe)}
-    support = sorted(pattern.support())
-    place = {v: k for k, v in enumerate(support)}
+    classes = _twin_classes(pattern)
+    place = {v: k for k, v in enumerate(v for c in classes for v in c)}
     edges = [[place[v] for v in e] for e in pattern.distinct_edges]
     copies = {
         tuple(sorted(index[frozenset(image[k] for k in e)] for e in edges))
-        for image in itertools.permutations(range(n), len(support))
+        for image in _class_maps([len(c) for c in classes], range(n))
     }
     return list(copies)
 
@@ -333,8 +363,10 @@ def turan_oracle(
     The witness is the first maximum family in include-first colex
     order; ``nodes`` counts search nodes.
 
-    One ``budget`` is charged P(n, |support|) steps for the copy list (one
-    per injective map of the pattern's support), then one per search node.
+    One ``budget`` is charged P(n, |support|) / prod |class|! steps for
+    the copy list (one per map it walks: injective maps of the pattern's
+    support that send each twin class to increasing images), then one per
+    search node.
     Running out in the copy list returns the seed with ``certified=False``
     and ``nodes`` 0; running out in the search returns the best family so
     far, also with ``certified=False``.
@@ -356,7 +388,7 @@ def turan_oracle(
         raise RuntimeError("lower-bound seed contains the pattern; construction bug")
 
     best_edges: Sequence[Iterable[int]] = seed.edges
-    build = math.perm(n, len(pattern.support()))
+    build = _copy_charge(pattern, n)
     tracker = _Budget(budget)
     try:
         tracker.tick(build)

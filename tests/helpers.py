@@ -278,3 +278,16 @@ def brute_extensions(
     misses ``used``, in order of first appearance."""
     img, used = frozenset(img), frozenset(used)
     return [e - img for e in brute_distinct_edges(hg) if img <= e and not (e - img) & used]
+
+
+def swap_preserves(hg: Hypergraph, u: int, v: int) -> bool:
+    """Does swapping u and v map the distinct edge set onto itself?"""
+    swap = {u: v, v: u}
+    edges = {frozenset(e) for e in hg.edges}
+    return {frozenset(swap.get(w, w) for w in e) for e in edges} == edges
+
+
+def brute_twins(hg: Hypergraph) -> tuple[int, ...]:
+    """Vertex -> least vertex it can be swapped with, by trying every
+    transposition on every edge."""
+    return tuple(min(u for u in range(v + 1) if swap_preserves(hg, u, v)) for v in range(hg.n))

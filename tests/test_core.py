@@ -10,8 +10,10 @@ from helpers import (
     brute_incidence,
     brute_kernel_degree,
     brute_shadow,
+    brute_twins,
     random_hypergraph,
     random_multi_hypergraph,
+    swap_preserves,
 )
 from hgx import (
     Hypergraph,
@@ -19,6 +21,8 @@ from hgx import (
     complement,
     degree,
     find_sunflower,
+    gen_C,
+    gen_S,
     kernel_degree,
     kernel_graph,
     kk_check,
@@ -99,6 +103,41 @@ def test_carrier_views_match_their_definitions():
             assert list(g.extensions(img, used)) == brute_extensions(g, img, used)
         # the empty rest of an edge equal to the image is yielded, not skipped
         assert all(frozenset() in g.extensions(e) for e in dist)
+
+
+def test_twins_match_the_transposition_brute_force():
+    rng = random.Random(31)
+    classes = 0
+    for k in range(300):
+        n = rng.randint(1, 8)
+        if k % 3 == 0:
+            g = random_multi_hypergraph(rng, n, [0, 1, 2, 3, 4], rng.randint(0, 10))
+        elif k % 3 == 1:
+            g = random_hypergraph(rng, n, min(n, rng.randint(1, 3)), rng.randint(0, 6))
+        else:
+            # a few random edges closed under permuting a random block
+            block = rng.sample(range(n), rng.randint(1, n))
+            seeds = [rng.sample(range(n), rng.randint(1, min(n, 3))) for _ in range(rng.randint(1, 3))]
+            g = Hypergraph(n, {
+                tuple(sorted(dict(zip(block, perm)).get(v, v) for v in e))
+                for e in seeds
+                for perm in itertools.permutations(block)
+            })
+        assert g.twins == brute_twins(g), g.edges
+        for u, v in itertools.combinations(range(n), 2):
+            # twins is an equivalence: same least vertex exactly when swappable
+            assert (g.twins[u] == g.twins[v]) == swap_preserves(g, u, v)
+        classes += len(set(g.twins)) < n
+    assert classes == 230  # most cases have a class of two or more
+
+
+@pytest.mark.parametrize(
+    "build, n, t",
+    [(gen_S, 9, 2), (gen_C, 9, 2), (gen_C, 10, 2), (gen_C, 11, 2), (gen_S, 11, 1), (gen_C, 11, 1)],
+)
+def test_construction_twins_are_marked_and_unmarked(build, n, t):
+    # the exhaustive freeness hosts of Props 3.1/3.2 have two classes
+    assert build(n, 3, t).twins == tuple(0 if v < t else t for v in range(n))
 
 
 # -- shadow -------------------------------------------------------------------

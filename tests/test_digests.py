@@ -5,14 +5,17 @@ Each test serialises every answer over a seeded corpus and compares its
 sha256 digest with a pinned literal, so any change in a certificate, a
 ``tight`` flag, a tree transform, an ``embed`` result or an oracle
 answer (search node counts and ``certified`` flags included) fails.
+``embed``'s ``(status, map)`` and its node counts have separate pins,
+so a change that only prunes the search moves only the second.
 """
 
 import hashlib
 import json
 import math
 import random
+from collections import Counter
 
-from helpers import random_hypergraph, random_multi_hypergraph, random_tree
+from helpers import brute_twins, random_hypergraph, random_multi_hypergraph, random_tree
 from hgx import (
     Hypergraph,
     contains_anchored,
@@ -114,9 +117,18 @@ def _tree_lines() -> tuple[list[str], list[str]]:
     return lines, tight_lines
 
 
-def _embed_lines() -> list[str]:
+# Budgeted pairs of the embed corpus whose search runs out without the
+# twin skip in ``_backtrack_embed`` -> their status with it: six now finish.
+RAN_OUT_WITHOUT_TWINS = {
+    7: "none", 49: "none", 55: "budget", 57: "none", 119: "none",
+    154: "none", 191: "budget", 272: "budget", 283: "none",
+}
+
+
+def _embed_runs() -> list[tuple]:
+    """(embed result, contains_anchored answer) for 300 seeded pairs."""
     rng = random.Random(11)
-    lines = []
+    runs = []
     for k in range(300):
         r = rng.choice([2, 3])
         if k % 2:
@@ -125,26 +137,45 @@ def _embed_lines() -> list[str]:
             pattern = random_hypergraph(rng, rng.randint(r, 6), r, rng.randint(1, 4))
         host = random_hypergraph(rng, rng.randint(4, 9), r, rng.randint(1, 30))
         res = embed(pattern, host, budget=rng.choice([None, 40, 5000]))
-        amap = sorted(res.map.items()) if res.map is not None else None
-        lines.append(json.dumps([res.status, amap, res.nodes]))
         anchor = rng.choice(host.edge_sets)
         family = [e for e in host.edge_sets if e != anchor]
-        lines.append(json.dumps(contains_anchored(pattern, family, anchor)))
+        runs.append((res, contains_anchored(pattern, family, anchor)))
+    return runs
+
+
+def _embed_lines(runs: list[tuple]) -> list[str]:
+    """``(status, map)`` of every search outside ``RAN_OUT_WITHOUT_TWINS``,
+    and every contains_anchored answer."""
+    lines = []
+    for k, (res, anchored) in enumerate(runs):
+        if k not in RAN_OUT_WITHOUT_TWINS:
+            amap = sorted(res.map.items()) if res.map is not None else None
+            lines.append(json.dumps([res.status, amap]))
+        lines.append(json.dumps(anchored))
     return lines
+
+
+def _copy_charge(pattern: Hypergraph, n: int) -> int:
+    """P(n, k) / prod |class|! over the twin classes of the support."""
+    sizes = Counter(brute_twins(pattern)[v] for v in pattern.support()).values()
+    return math.perm(n, sum(sizes)) // math.prod(math.factorial(s) for s in sizes)
 
 
 def _oracle_lines() -> list[str]:
     """Every bench pattern at n = r..7 under budgets that run out in the
-    copy list (below ``build``, the copy list's P(n, |support|) steps),
-    exactly at it, during the search, or not at all."""
+    copy list (below ``charge``, the maps it walks), exactly at it,
+    during the search, or not at all.  A row names its budget by its
+    offset from the charge, so it reads the same for any charge."""
     lines = []
     for name, (r, edges) in ORACLE_PATTERNS.items():
         pattern = Hypergraph(1 + max(max(e) for e in edges), edges, uniform_r=r)
         for n in range(r, 8):
-            build = math.perm(n, len(pattern.support()))
-            for budget in (None, 0, build - 1, build, build + 1, build + 10, build + 300):
+            charge = _copy_charge(pattern, n)
+            budgets = {None: None, 0: 0}
+            budgets.update({f"charge{k:+d}" if k else "charge": charge + k for k in (-1, 0, 1, 10, 300)})
+            for label, budget in budgets.items():
                 res = turan_oracle(n, r, pattern, budget=budget)
-                row = [name, n, budget, res.value, res.witness.edges, res.nodes, res.certified]
+                row = [name, n, label, res.value, res.witness.edges, res.nodes, res.certified]
                 lines.append(json.dumps(row))
     return lines
 
@@ -171,12 +202,27 @@ def test_tight_mode_is_the_plain_certificate_when_tight():
 
 
 def test_embed_results_are_pinned():
-    lines = _embed_lines()
-    assert len(lines) == 600
-    assert _digest(lines) == "0e47c93bebeb92c425af6baf24fc93c55d700dca790d183abadf4f5c3673d3e8"
+    # the twin skip prunes only failed subtrees, so a finished search
+    # returns the same status and map as the plain backtracking
+    lines = _embed_lines(_embed_runs())
+    assert len(lines) == 591
+    assert _digest(lines) == "bf8c870273d2a2803bb9e53d2d6ce26bcabc15d2858684282db0d4a9a00e78af"
+
+
+def test_embed_budget_runouts():
+    runs = _embed_runs()
+    ran_out = {k: res.status for k, (res, _) in enumerate(runs) if k in RAN_OUT_WITHOUT_TWINS}
+    assert ran_out == RAN_OUT_WITHOUT_TWINS
+    assert [k for k, (res, _) in enumerate(runs) if res.status == "budget"] == [55, 191, 272]
+
+
+def test_embed_node_counts_are_pinned():
+    nodes = [res.nodes for res, _ in _embed_runs()]
+    assert sum(nodes) == 3650
+    assert _digest([json.dumps(nodes)]) == "04f018de9f27d68e416d296f14e8f403aefb454d8624423199cb694a71f95851"
 
 
 def test_oracle_answers_are_pinned():
     lines = _oracle_lines()
     assert len(lines) == 189
-    assert _digest(lines) == "5111fbc7ec6a89e560ede285e07ec6abc813b8941f8a1ff03afdd0f37558ab29"
+    assert _digest(lines) == "2932bf250b23ef6b9797eaad517249dc63494d44208724d312a8bf36c9a06696"

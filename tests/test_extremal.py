@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_hypergraph
+from helpers import brute_twins, copy_hypergraph, random_hypergraph
 from hgx import (
     BudgetExceeded,
     Hypergraph,
@@ -29,6 +29,7 @@ from hgx import (
     tree_shadow_bound_check,
     turan_oracle,
 )
+from hgx.extremal import _class_maps, _colex_universe, _copy_charge, _pattern_copies, _twin_classes
 
 
 def edge_set(hg):
@@ -162,8 +163,9 @@ def test_oracle_budget_returns_partial(m2):
 
 
 def test_oracle_budget_on_a_deep_universe(m2):
-    # listing the copies of M2 among 21 vertices takes P(21, 6) steps, far
-    # past the budget, so the seed comes back without a search
+    # listing the copies of M2 among 21 vertices takes P(21, 6) / (3! 3!)
+    # = 1,085,280 steps, far past the budget, so the seed comes back
+    # without a search
     res = turan_oracle(21, 3, m2, budget=1000)
     assert not res.certified
     assert res.value == 190 and res.nodes == 0
@@ -222,10 +224,42 @@ def test_oracle_witness_is_first_maximum_in_colex_order(m2, l32, triangle):
         res = turan_oracle(n, r, pattern)
         assert res.certified and res.value == len(witness)
         assert res.witness == Hypergraph(n, witness, uniform_r=r)
-    # a budget too small for the copy list returns the seed unsearched
-    res = turan_oracle(6, 3, m2, budget=50)
+    # a budget too small for the copy list (20 maps for M2 on 6 vertices)
+    # returns the seed unsearched
+    res = turan_oracle(6, 3, m2, budget=19)
     assert not res.certified and res.value == 10 and res.nodes == 0
     assert res.witness == gen_S(6, 3, 1) and is_free(res.witness, m2)
+
+
+def _random_patterns(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.choice([2, 3])
+        pattern = random_hypergraph(rng, rng.randint(r, 5), r, rng.randint(1, 4))
+        yield pattern, rng.randint(r, 6)
+
+
+def test_copy_charge_counts_the_maps_walked():
+    for pattern, n in _random_patterns(41, 300):
+        classes = _twin_classes(pattern)
+        # the classes are the brute-force twin classes of the support
+        support = sorted(pattern.support())
+        assert sorted(v for c in classes for v in c) == support
+        assert all(brute_twins(pattern)[v] == c[0] for c in classes for v in c)
+        maps = list(_class_maps([len(c) for c in classes], range(n)))
+        assert len(maps) == _copy_charge(pattern, n)
+        assert len(set(maps)) == len(maps)
+        assert all(len(set(m)) == len(m) == len(support) for m in maps)
+
+
+def test_pattern_copies_match_the_permutation_brute_force():
+    for pattern, n in _random_patterns(43, 300):
+        r = pattern.uniform_r
+        universe = _colex_universe(n, r)
+        fast = {frozenset(universe[i] for i in c) for c in _pattern_copies(pattern, n, universe)}
+        lex = list(itertools.combinations(range(n), r))
+        brute = {frozenset(frozenset(lex[i]) for i in c) for c in copy_hypergraph(n, r, pattern).edges}
+        assert fast == brute, (pattern.edges, n)
 
 
 def test_oracle_matches_min_cover_of_copy_hypergraph(m2, l32, triangle):
