@@ -24,8 +24,11 @@ DEFAULT_BUDGET = 10_000_000
 def _load(path: str) -> tuple[core.Hypergraph, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    return core.Hypergraph.from_json_obj(json.loads(raw)), digest
+    try:
+        hg = core.Hypergraph.from_json_obj(json.loads(raw))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    return hg, hashlib.sha256(raw).hexdigest()
 
 
 def _flatten(prefix: str, obj, out: list[str]) -> None:
@@ -36,30 +39,36 @@ def _flatten(prefix: str, obj, out: list[str]) -> None:
         out.append(f"{prefix} = {json.dumps(obj)}")
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
-    if args.table:
-        lines: list[str] = []
-        _flatten("", payload, lines)
-        print("\n".join(lines))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
-    return {
+def _run(args: argparse.Namespace, command: str, paths: list[str], compute) -> int:
+    """The one report path.  Loads and digests ``paths``, calls
+    ``compute(args, *hypergraphs) -> (results, passed)``, prints the timed
+    report and returns 0, or 1 when the command's check failed."""
+    started = time.perf_counter()
+    inputs: dict[str, str] = {}
+    hgs = []
+    for path in paths:
+        hg, inputs[path] = _load(path)
+        hgs.append(hg)
+    results, passed = compute(args, *hgs)
+    report = {
         "command": command,
         "inputs": inputs,
         "results": results,
         "timing_s": round(time.perf_counter() - started, 6),
     }
+    if args.table:
+        lines: list[str] = []
+        _flatten("", report, lines)
+        print("\n".join(lines))
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    return 0 if passed else 1
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load(args.file)
+def _analyze(args: argparse.Namespace, hg: core.Hypergraph) -> tuple[dict, bool]:
     cert = trees.find_tree_ordering(hg)
     tau_val, tau_wit = covers.tau(hg)
     sigma_val, sigma_wit = covers.sigma(hg)
@@ -90,8 +99,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.certify:
         results["certificate"] = cert.to_json_obj() if cert is not None else None
-    _emit(args, _report("analyze", {args.file: digest}, results, started))
-    return 0
+    return results, True
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -113,45 +121,35 @@ def cmd_shadow(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tau(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load(args.file)
+def _tau(args: argparse.Namespace, hg: core.Hypergraph) -> tuple[dict, bool]:
     value, witness = covers.tau(hg)
     results = {"value": value, "witness": sorted(witness.vertices), "optimal": True}
-    _emit(args, _report("tau", {args.file: digest}, results, started))
-    return 0
+    return results, True
 
 
-def cmd_sigma(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load(args.file)
+def _sigma(args: argparse.Namespace, hg: core.Hypergraph) -> tuple[dict, bool]:
     value, witness = covers.sigma(hg)
     results = {
         "value": None if value == float("inf") else int(value),
         "witness": sorted(witness.vertices) if witness else None,
         "optimal": True,
     }
-    _emit(args, _report("sigma", {args.file: digest}, results, started))
-    return 0
+    return results, True
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    pattern, d1 = _load(args.pattern)
-    host, d2 = _load(args.host)
+def _embed(
+    args: argparse.Namespace, pattern: core.Hypergraph, host: core.Hypergraph
+) -> tuple[dict, bool]:
     res = embedding.embed(pattern, host, budget=args.budget)
     results = {
         "status": res.status,
         "map": {str(k): v for k, v in sorted(res.map.items())} if res.map else None,
         "nodes": res.nodes,
     }
-    _emit(args, _report("embed", {args.pattern: d1, args.host: d2}, results, started))
-    return 0
+    return results, True
 
 
-def cmd_turan(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    pattern, digest = _load(args.forbid)
+def _turan(args: argparse.Namespace, pattern: core.Hypergraph) -> tuple[dict, bool]:
     res = extremal.turan_oracle(args.n, args.r, pattern, budget=args.budget)
     results = {
         "value": res.value,
@@ -159,69 +157,59 @@ def cmd_turan(args: argparse.Namespace) -> int:
         "nodes": res.nodes,
         "certified": res.certified,
     }
-    _emit(args, _report("turan", {args.forbid: digest}, results, started))
-    return 0
+    return results, True
+
+
+def _fields(check, **rounded) -> tuple[dict, bool]:
+    return {**check._asdict(), **rounded}, check.holds
+
+
+def _kk(args: argparse.Namespace, hg: core.Hypergraph) -> tuple[dict, bool]:
+    check = core.kk_check(hg, args.p)
+    return _fields(check, x=round(check.x, 9), bound=round(check.bound, 9))
+
+
+def _construction(which: str, args: argparse.Namespace, hg: core.Hypergraph) -> tuple[dict, bool]:
+    family, bound = extremal._construction(hg, args.n, which)
+    free = embedding.is_free(family, hg)
+    holds = free and family.m == bound
+    results = {
+        "construction": which,
+        "size": family.m,
+        "closed_form": bound,
+        "free": free,
+        "holds": holds,
+    }
+    return results, holds
+
+
+def _tree_shadow(
+    args: argparse.Namespace, host: core.Hypergraph, tree: core.Hypergraph
+) -> tuple[dict, bool]:
+    return _fields(extremal.tree_shadow_bound_check(host, tree))
+
+
+def _missing(
+    args: argparse.Namespace, graph: core.Hypergraph, pattern: core.Hypergraph
+) -> tuple[dict, bool]:
+    return _fields(extremal.missing_vs_nonm_check(graph, pattern, budget=args.budget))
+
+
+# prop -> (usage message, file count, required flag, check)
+VERIFY = {
+    "kk": ("verify kk needs FILE and -p", 1, "p", _kk),
+    "3.1": ("verify 3.1 needs H-FILE and -n", 1, "n", functools.partial(_construction, "S")),
+    "3.2": ("verify 3.2 needs H-FILE and -n", 1, "n", functools.partial(_construction, "C")),
+    "5.4": ("verify 5.4 needs F-FILE and H-FILE", 2, None, _tree_shadow),
+    "9.1": ("verify 9.1 needs G-FILE and M-FILE", 2, None, _missing),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    prop = args.prop
-    inputs: dict[str, str] = {}
-    if prop == "kk":
-        if len(args.files) != 1 or args.p is None:
-            raise ValueError("verify kk needs FILE and -p")
-        hg, digest = _load(args.files[0])
-        inputs[args.files[0]] = digest
-        check = core.kk_check(hg, args.p)
-        results = {
-            "x": round(check.x, 9),
-            "bound": round(check.bound, 9),
-            "shadow": check.shadow,
-            "holds": check.holds,
-        }
-        passed = check.holds
-    elif prop in ("3.1", "3.2"):
-        if len(args.files) != 1 or args.n is None:
-            raise ValueError(f"verify {prop} needs H-FILE and -n")
-        hg, digest = _load(args.files[0])
-        inputs[args.files[0]] = digest
-        which = "S" if prop == "3.1" else "C"
-        family, bound = extremal._construction(hg, args.n, which)
-        free = embedding.is_free(family, hg)
-        results = {
-            "construction": which,
-            "size": family.m,
-            "closed_form": bound,
-            "free": free,
-            "holds": free and family.m == bound,
-        }
-        passed = results["holds"]
-    elif prop == "5.4":
-        if len(args.files) != 2:
-            raise ValueError("verify 5.4 needs F-FILE and H-FILE")
-        host, d1 = _load(args.files[0])
-        tree, d2 = _load(args.files[1])
-        inputs = {args.files[0]: d1, args.files[1]: d2}
-        check = extremal.tree_shadow_bound_check(host, tree)
-        results = {"lhs": check.lhs, "rhs": check.rhs, "holds": check.holds}
-        passed = check.holds
-    elif prop == "9.1":
-        if len(args.files) != 2:
-            raise ValueError("verify 9.1 needs G-FILE and M-FILE")
-        graph, d1 = _load(args.files[0])
-        pattern, d2 = _load(args.files[1])
-        inputs = {args.files[0]: d1, args.files[1]: d2}
-        check = extremal.missing_vs_nonm_check(graph, pattern, budget=args.budget)
-        results = {
-            "uncovered": check.uncovered,
-            "bound": check.bound,
-            "holds": check.holds,
-        }
-        passed = check.holds
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown property {prop!r}")
-    _emit(args, _report(f"verify {prop}", inputs, results, started))
-    return 0 if passed else 1
+    usage, count, flag, check = VERIFY[args.prop]
+    if len(args.files) != count or (flag and getattr(args, flag) is None):
+        raise ValueError(usage)
+    return _run(args, f"verify {args.prop}", args.files, check)
 
 
 @functools.cache
@@ -238,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="structure report for a hypergraph file")
     p.add_argument("file")
     p.add_argument("--certify", action="store_true", help="include the certificate")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=lambda args: _run(args, "analyze", [args.file], _analyze))
 
     p = sub.add_parser("construct", help="emit a standard family as JSON")
     p.add_argument("--family", required=True)
@@ -252,25 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau", help="minimum vertex cover")
     p.add_argument("file")
-    p.set_defaults(func=cmd_tau)
+    p.set_defaults(func=lambda args: _run(args, "tau", [args.file], _tau))
 
     p = sub.add_parser("sigma", help="minimum cross-cut")
     p.add_argument("file")
-    p.set_defaults(func=cmd_sigma)
+    p.set_defaults(func=lambda args: _run(args, "sigma", [args.file], _sigma))
 
     p = sub.add_parser("embed", help="search for a subhypergraph embedding")
     p.add_argument("pattern")
     p.add_argument("host")
-    p.set_defaults(func=cmd_embed)
+    p.set_defaults(func=lambda args: _run(args, "embed", [args.pattern, args.host], _embed))
 
     p = sub.add_parser("turan", help="exact Turan number at small n")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--forbid", required=True, help="forbidden pattern JSON file")
-    p.set_defaults(func=cmd_turan)
+    p.set_defaults(func=lambda args: _run(args, "turan", [args.forbid], _turan))
 
     p = sub.add_parser("verify", help="run a named bound check")
-    p.add_argument("--prop", required=True, choices=["kk", "3.1", "3.2", "5.4", "9.1"])
+    p.add_argument("--prop", required=True, choices=list(VERIFY))
     p.add_argument("files", nargs="*")
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-p", type=int, default=None)
@@ -285,7 +273,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         build_parser().error(f"argument --budget: must be non-negative, got {args.budget}")
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, embedding.BudgetExceeded) as exc:
+    except (ValueError, OSError, embedding.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -277,13 +277,13 @@ def min_shadow_degree(hg: Hypergraph, i: int) -> int:
 
 
 def _pack_disjoint(
-    petals: Sequence[frozenset[int]], cap: int
+    petals: Sequence[frozenset[int]], cap: int, budget: Optional[_Budget] = None
 ) -> tuple[int, list[int]]:
     """Largest pairwise-disjoint selection among ``petals``, capped.
 
     Exact branch and bound; returns (size, chosen indices).  Search stops
     as soon as ``cap`` disjoint petals are found, so results are exact
-    only up to the cap.
+    only up to the cap.  Each search node ticks ``budget`` when given.
     """
     order = sorted(range(len(petals)), key=lambda i: (len(petals[i]), sorted(petals[i])))
     best = 0
@@ -291,6 +291,8 @@ def _pack_disjoint(
 
     def dfs(pos: int, used: frozenset[int], picked: list[int]) -> bool:
         nonlocal best, best_pick
+        if budget is not None:
+            budget.tick()
         if len(picked) > best:
             best = len(picked)
             best_pick = list(picked)

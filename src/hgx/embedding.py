@@ -130,27 +130,27 @@ def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -
 
     Budget exhaustion is its own result status, never conflated with a
     completed negative search.  Patterns that are uniform matchings run
-    through a direct disjoint-edge packing.
+    through a direct disjoint-edge packing, whose nodes charge the budget.
     """
     h_edges, f_set = pattern.distinct_edges, set(host.distinct_edges)
     tracker = _Budget(budget)
 
     amap: Optional[dict[int, int]] = None
-    if _is_uniform_matching(pattern):
-        r = len(h_edges[0])
-        pool = [fe for fe in host.distinct_edges if len(fe) == r]
-        size, picked = _pack_disjoint(pool, len(h_edges))
-        if size == len(h_edges):
-            amap = {
-                a: b
-                for he, idx in zip(h_edges, picked)
-                for a, b in zip(sorted(he), sorted(pool[idx]))
-            }
-    else:
-        try:
+    try:
+        if _is_uniform_matching(pattern):
+            r = len(h_edges[0])
+            pool = [fe for fe in host.distinct_edges if len(fe) == r]
+            size, picked = _pack_disjoint(pool, len(h_edges), tracker)
+            if size == len(h_edges):
+                amap = {
+                    a: b
+                    for he, idx in zip(h_edges, picked)
+                    for a, b in zip(sorted(he), sorted(pool[idx]))
+                }
+        else:
             amap = _backtrack_embed(pattern, host, None, tracker)
-        except BudgetExceeded:
-            return EmbedResult(BUDGET, None, tracker.nodes)
+    except BudgetExceeded:
+        return EmbedResult(BUDGET, None, tracker.nodes)
     if amap is None:
         return EmbedResult(NONE, None, tracker.nodes)
     _verify_map(h_edges, f_set, amap)
@@ -166,7 +166,8 @@ def _anchored(
     pattern: Hypergraph, host: Hypergraph, anchor: frozenset[int], budget: _Budget
 ) -> bool:
     """Does ``host`` contain the pattern with an edge on ``anchor``, an edge
-    of ``host``?  Ticks ``budget`` per root placement and per search node."""
+    of ``host``?  Ticks ``budget`` per root placement and per search node,
+    or per packing node when the pattern is a uniform matching."""
     h_edges = pattern.distinct_edges
     if not h_edges:
         return True
@@ -176,7 +177,7 @@ def _anchored(
         if len(anchor) != r:
             return False
         pool = [fe for fe in host.distinct_edges if len(fe) == r and not fe & anchor]
-        size, _ = _pack_disjoint(pool, len(h_edges) - 1)
+        size, _ = _pack_disjoint(pool, len(h_edges) - 1, budget)
         return size >= len(h_edges) - 1
 
     anchor_list = sorted(anchor)

@@ -249,8 +249,8 @@ def tighten(hg: Hypergraph, cert: TreeCertificate) -> tuple[Hypergraph, TreeCert
 
     Each edge whose overlap with its parent is short is reached by a
     chain of intermediate edges swapping one vertex at a time (swapped-in
-    vertices ascending).  The input's first edge stays first; duplicates
-    arising along the way are dropped.
+    vertices ascending).  The input's first edge stays first, and every
+    chain edge is new.
     """
     r = hg.require_uniform()
     _assert_valid(hg, cert)
@@ -273,10 +273,10 @@ def tighten(hg: Hypergraph, cert: TreeCertificate) -> tuple[Hypergraph, TreeCert
         for t, v in enumerate(news):
             cur.discard(olds[t])
             cur.add(v)
+            # cur holds news[0..t], all outside union: edges of earlier
+            # chains lie inside union and earlier links lack news[t], so
+            # no edge repeats
             fs = frozenset(cur)
-            if fs in pos_of:
-                prev_pos = pos_of[fs]
-                continue
             pos = len(new_edges)
             new_edges.append(tuple(sorted(fs)))
             pos_of[fs] = pos

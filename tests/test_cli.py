@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -104,6 +105,17 @@ def test_string_multi_flag_is_an_input_error(tmp_path, capsys):
     assert out == "" and err == "error: field 'multi' must be a boolean\n"
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # a bare nested list, and one nested inside an edge
+    nested = "[" * 100_000 + "]" * 100_000
+    for name, text in [("deep.json", nested), ("edge.json", '{"n": 3, "edges": [' + nested + "]}")]:
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_construct_round_trip(capsys):
     code, out, _ = run(capsys, "construct", "--family", "linear_cycle", "--params", "m=4,r=3")
     assert code == 0
@@ -129,6 +141,12 @@ def test_construct_bad_parameters_usage_error(capsys, family, params):
     code, out, err = run(capsys, "construct", "--family", family, "--params", params)
     assert code == 2 and out == ""
     assert err.startswith("error: bad parameters") and err.count("\n") == 1
+
+
+def test_construct_parameter_without_value(capsys):
+    code, out, err = run(capsys, "construct", "--family", "S", "--params", "n")
+    assert code == 2 and out == ""
+    assert err == "error: malformed parameter 'n'; expected key=value\n"
 
 
 def test_shadow_command(tmp_path, capsys, t3):
@@ -242,6 +260,37 @@ def test_verify_tree_shadow_rejects_non_tree(tmp_path, capsys, c34):
     pattern = write(tmp_path, "c34.json", c34)
     code, _, err = run(capsys, "verify", "--prop", "5.4", host, pattern)
     assert code == 2 and "error" in err
+
+
+def test_verify_tree_shadow_report(tmp_path, capsys):
+    # K_4^(3) holds no linear 2-path: any two of its triples share two vertices
+    k43 = Hypergraph(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], uniform_r=3)
+    host = write(tmp_path, "k43.json", k43)
+    tree = write(tmp_path, "p2.json", gen_standard("linear_path", m=2, r=3))
+    code, out, err = run(capsys, "verify", "--prop", "5.4", host, tree)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["command"] == "verify 5.4"
+    assert sorted(report["inputs"]) == sorted([host, tree])
+    assert report["results"] == {"lhs": 4, "rhs": 12, "holds": True}
+
+
+@pytest.mark.parametrize(
+    "prop, argv, message",
+    [
+        ("kk", ["-n", "5"], "verify kk needs FILE and -p"),
+        ("3.1", ["-p", "2"], "verify 3.1 needs H-FILE and -n"),
+        ("3.2", [], "verify 3.2 needs H-FILE and -n"),
+        ("5.4", [], "verify 5.4 needs F-FILE and H-FILE"),
+        ("9.1", [], "verify 9.1 needs G-FILE and M-FILE"),
+    ],
+)
+def test_verify_usage_messages(tmp_path, capsys, prop, argv, message):
+    # the usage check comes before the (missing) file is read
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "verify", "--prop", prop, missing, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_missing_vs_nonm(tmp_path, capsys, m2):
@@ -366,3 +415,66 @@ def test_env_budget_has_no_effect(tmp_path, capsys, c34, monkeypatch):
     assert json.loads(out)["results"]["status"] == "none"
     code, out, _ = run(capsys, "--budget", "3", "embed", h, f)
     assert json.loads(out)["results"]["status"] == "budget"
+
+
+def _mutate(rng, text):
+    """One malformed variant of a hypergraph JSON text: a truncation, a
+    type swap, a byte edit or deep nesting."""
+    swaps = ["x", 1.5, None, True, {}, [], [[]], -1, 0, 3, [0, "a"], [[0, 1, 1]], [[7]]]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[: rng.randrange(len(text))]
+    if kind == 1:
+        obj = json.loads(text)
+        key = rng.choice(["n", "edges", "r", "multi", "edge", "vertex", "root"])
+        if key == "root":
+            return json.dumps(rng.choice(swaps))
+        if key in ("edge", "vertex"):
+            edges = obj["edges"]
+            i = rng.randrange(len(edges))
+            if key == "vertex":
+                edges, i = edges[i], rng.randrange(len(edges[i]))
+            edges[i] = rng.choice(swaps)
+        else:
+            obj[key] = rng.choice(swaps)
+        return json.dumps(obj)
+    if kind == 2:
+        i = rng.randrange(len(text))
+        digit = text[i].isdigit() and rng.random() < 0.5
+        chars = "0123456789" if digit else '0123456789[]{},:" -.a'
+        return text[:i] + rng.choice(chars) + text[i + 1 :]
+    depth = rng.choice([50, 5000, 100_000])
+    nested = "[" * depth + "]" * depth
+    return rng.choice([nested, '{"n": 3, "edges": [' + nested + "]}"])
+
+
+def test_cli_fuzz_never_escapes_main(tmp_path, capsys, t3, m2, c34, triangle):
+    # malformed input ends in exit 2 with one error line, never a traceback
+    rng = random.Random(2024)
+    bases = [t3, m2, c34, triangle, gen_standard("linear_path", m=2, r=3)]
+    good, bad = str(tmp_path / "good.json"), str(tmp_path / "bad.json")
+    commands = [
+        ["analyze", bad, "--certify"],
+        ["tau", bad],
+        ["sigma", bad],
+        ["embed", bad, good],
+        ["embed", good, bad],
+        ["turan", "-n", "6", "-r", "3", "--forbid", bad],
+        ["verify", "--prop", "kk", bad, "-p", "2"],
+        ["verify", "--prop", "3.1", bad, "-n", "7"],
+        ["verify", "--prop", "3.2", bad, "-n", "7"],
+        ["verify", "--prop", "5.4", good, bad],
+        ["verify", "--prop", "9.1", bad, good],
+    ]
+    codes = set()
+    for _ in range(500):
+        text = json.dumps(rng.choice(bases).to_json_obj())
+        (tmp_path / "good.json").write_text(text)
+        (tmp_path / "bad.json").write_text(_mutate(rng, text))
+        table = ["--table"] if rng.random() < 0.2 else []
+        code, _, err = run(capsys, "--budget", "2000", *table, *rng.choice(commands))
+        codes.add(code)
+        assert code in (0, 1, 2)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+        assert err.endswith("\n") or not err
+    assert {0, 2} <= codes

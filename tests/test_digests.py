@@ -217,9 +217,10 @@ def test_embed_budget_runouts():
 
 
 def test_embed_node_counts_are_pinned():
+    # the matching packing charges one node per search node
     nodes = [res.nodes for res, _ in _embed_runs()]
-    assert sum(nodes) == 3650
-    assert _digest([json.dumps(nodes)]) == "04f018de9f27d68e416d296f14e8f403aefb454d8624423199cb694a71f95851"
+    assert sum(nodes) == 4155
+    assert _digest([json.dumps(nodes)]) == "1dbbb0d1714c25f95500bcda9f630e6c0d9d943a1fec36f97105c4ea20678fa7"
 
 
 def test_oracle_answers_are_pinned():

@@ -55,6 +55,15 @@ def test_embed_budget_is_a_distinct_result(c34):
     assert res.map is None
 
 
+def test_embed_budget_bounds_the_matching_packing():
+    # the 4-matching packing into S(16, 3, 3) runs 167,945 nodes to "none"
+    pattern = gen_standard("matching", s=4, r=3)
+    res = embed(pattern, gen_S(16, 3, 3), budget=1000)
+    assert (res.status, res.map, res.nodes) == ("budget", None, 1001)
+    res = embed(pattern, gen_S(12, 3, 3))
+    assert (res.status, res.nodes) == ("none", 10417)
+
+
 def test_embed_resulting_map_hits_edges(t3, k35):
     res = embed(t3, k35)
     assert res.found

@@ -73,6 +73,9 @@ def test_gen_standard_families(c34):
     )
     path = gen_standard("linear_path", m=2, r=3)
     assert edge_set(path) == {(0, 1, 3), (1, 2, 4)}
+    assert edge_set(gen_standard("tight_path", v=5, r=3)) == {(0, 1, 2), (1, 2, 3), (2, 3, 4)}
+    with pytest.raises(ValueError):
+        gen_standard("tight_path", v=2, r=3)
     fur = gen_standard("fur")
     assert fur.m == 4 and fur.n == 6
     with pytest.raises(ValueError):
@@ -425,6 +428,14 @@ def test_missing_vs_nonm_budget_covers_the_whole_check(c34):
     with pytest.raises(BudgetExceeded):
         missing_vs_nonm_check(g, c34, budget=173)
     assert tuple(missing_vs_nonm_check(g, c34, budget=174)) == (1, 192, True)
+
+
+def test_missing_vs_nonm_budget_covers_the_matching_packing(m3):
+    # the 20 anchored packings for a 3-matching take 69 nodes together
+    g = random_hypergraph(random.Random(0), 9, 3, 20)
+    with pytest.raises(BudgetExceeded):
+        missing_vs_nonm_check(g, m3, budget=68)
+    assert tuple(missing_vs_nonm_check(g, m3, budget=69)) == (12, 128, True)
 
 
 def test_missing_vs_nonm_rejects_single_edge_pattern():
