@@ -4,13 +4,15 @@ Vertices are integers ``0..n-1``.  Edges are canonicalised to sorted
 tuples.  The edge *list* is ordered because tree certificates index into
 it; edge order is ignored by equality, which compares edge multisets.
 
-Every layer reads edges through four views on the carrier:
+The searches read edges through four views on the carrier:
 ``distinct_edges`` (repeats dropped, first appearances kept),
 ``incidence`` (vertex -> indices into ``distinct_edges``) and ``twins``
 (vertex -> least vertex of its twin class), all cached on first use,
 and ``extensions`` (the rests of the distinct edges through a partial
 image that avoid given vertices, scanned from the image's rarest
-vertex).
+vertex).  One-pass readers scan ``edges`` or ``edge_sets`` directly and
+build none of them: the shadow and degree functions here, and
+``embedding.greedy_tree_embed``, which is usually handed a fresh host.
 
 Every operation here is a pure function of immutable values, so objects
 can be shared freely across threads.
@@ -106,15 +108,18 @@ class Hypergraph:
         vertex of every class so far.  For those it is enough that every
         edge through v maps onto an edge: the swap fixes the edges through
         both or neither, and then sends the edges through v alone onto
-        the equally many through u alone.
+        the equally many through u alone.  The isolated vertices form one
+        class, so they are filled in at once and only the support is looped.
         """
         if self._twins is None:
             edges, inc = self.distinct_edges, self.incidence
             edge_set = set(edges)
-            twins: list[int] = []
+            support = sorted(inc)
+            isolated = next((i for i, v in enumerate(support) if i != v), len(support))
+            twins = [isolated] * self.n
             leaders: dict[int, list[int]] = {}  # degree -> least vertices of its classes
-            for v in range(self.n):
-                through = inc.get(v, ())
+            for v in support:
+                through = inc[v]
                 same = leaders.setdefault(len(through), [])
                 least = next((u for u in same if all(
                     frozenset(u if w == v else v if w == u else w for w in edges[i]) in edge_set
@@ -122,7 +127,7 @@ class Hypergraph:
                 )), v)
                 if least == v:
                     same.append(v)
-                twins.append(least)
+                twins[v] = least
             self._twins = tuple(twins)
         return self._twins
 
@@ -286,32 +291,32 @@ def _pack_disjoint(
     only up to the cap.  Each search node ticks ``budget`` when given.
     """
     order = sorted(range(len(petals)), key=lambda i: (len(petals[i]), sorted(petals[i])))
-    best = 0
+    size = len(order)
     best_pick: list[int] = []
-
-    def dfs(pos: int, used: frozenset[int], picked: list[int]) -> bool:
-        nonlocal best, best_pick
+    picked: list[int] = []
+    stack = [[0, frozenset()]]  # per open node: the next position to try, the vertices used
+    if budget is not None:
+        budget.tick()
+    while stack:
+        frame = stack[-1]
+        j, used = frame
+        while j < size and used & petals[order[j]]:
+            j += 1
+        if j == size or len(picked) + (size - j) <= len(best_pick):
+            stack.pop()
+            if picked:
+                picked.pop()
+            continue
+        frame[0] = j + 1
+        picked.append(order[j])
         if budget is not None:
             budget.tick()
-        if len(picked) > best:
-            best = len(picked)
+        if len(picked) > len(best_pick):
             best_pick = list(picked)
-            if best >= cap:
-                return True
-        for j in range(pos, len(order)):
-            if len(picked) + (len(order) - j) <= best:
+            if len(best_pick) >= cap:
                 break
-            petal = petals[order[j]]
-            if used & petal:
-                continue
-            picked.append(order[j])
-            if dfs(j + 1, used | petal, picked):
-                return True
-            picked.pop()
-        return False
-
-    dfs(0, frozenset(), [])
-    return best, best_pick
+        stack.append([j + 1, used | petals[order[j]]])
+    return len(best_pick), best_pick
 
 
 def kernel_degree(hg: Hypergraph, kernel: Iterable[int], cap: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
-    BudgetExceeded, Edge, Hypergraph, _Budget, _infer_r, _pack_disjoint, kernel_degree, min_shadow_degree
+    BudgetExceeded, Edge, Hypergraph, _Budget, _infer_r, _pack_disjoint, kernel_degree
 )
 from .trees import TreeCertificate, _assert_valid, _is_tight
 
@@ -224,7 +224,11 @@ def greedy_tree_embed(
 
     Requires the host's minimum (r-1)-shadow degree to reach the tree's
     vertex count minus r-1; under that bound an eligible extension vertex
-    always exists and the smallest one is taken.
+    always exists and the smallest one is taken.  The host is read through
+    ``edges`` and ``edge_sets`` alone: the bound counts the (r-1)-subsets of
+    the edges, repeats included, as ``min_shadow_degree`` does, and each
+    step scans the edges for the least unused ``w`` completing the image of
+    its overlap to an edge.
     """
     r = tree.require_uniform()
     if r < 2 or host.uniform_r != r:
@@ -233,7 +237,9 @@ def greedy_tree_embed(
     if not _is_tight(tree, cert.order, cert.parent):
         raise ValueError("greedy embedding requires a tight certificate")
     size = len(tree.support())
-    if host.m == 0 or min_shadow_degree(host, r - 1) < size - r + 1:
+    subsets = map(itertools.combinations, host.edges, itertools.repeat(r - 1))
+    counts = Counter(itertools.chain.from_iterable(subsets))
+    if not counts or min(counts.values()) < size - r + 1:
         raise ValueError("host shadow degree too small for guaranteed embedding")
     sets = tree.edge_sets
     first = sets[cert.order[0]]
@@ -254,7 +260,8 @@ def greedy_tree_embed(
         u = next(iter(fresh))
         overlap_img = frozenset(amap[v] for v in e - fresh)
         extension = min(
-            (next(iter(rest)) for rest in host.extensions(overlap_img, used)), default=None
+            (w for fe in f_set if overlap_img < fe for w in fe - overlap_img if w not in used),
+            default=None,
         )
         assert extension is not None, "degree precondition guarantees an extension"
         amap[u] = extension

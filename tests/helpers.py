@@ -10,7 +10,7 @@ import itertools
 import random
 from typing import Iterable, Optional
 
-from hgx import Hypergraph, TreeCertificate
+from hgx import Hypergraph, TreeCertificate, min_shadow_degree
 
 
 def brute_shadow(edges: Iterable[Iterable[int]], p: int) -> set[tuple[int, ...]]:
@@ -291,3 +291,30 @@ def brute_twins(hg: Hypergraph) -> tuple[int, ...]:
     """Vertex -> least vertex it can be swapped with, by trying every
     transposition on every edge."""
     return tuple(min(u for u in range(v + 1) if swap_preserves(hg, u, v)) for v in range(hg.n))
+
+
+def greedy_precondition(tree: Hypergraph, host: Hypergraph) -> bool:
+    """The greedy embedding's degree bound, from ``min_shadow_degree``:
+    the host's minimum (r-1)-shadow degree, repeated edges counted, reaches
+    the tree's vertex count minus r-1."""
+    r = tree.uniform_r
+    return host.m > 0 and min_shadow_degree(host, r - 1) >= len(tree.support()) - r + 1
+
+
+def brute_greedy_map(
+    tree: Hypergraph, cert: TreeCertificate, host: Hypergraph, start: dict[int, int]
+) -> Optional[dict[int, int]]:
+    """Extend ``start`` along ``cert.order`` of a tight tree: each edge's one
+    new vertex goes to the least unused host vertex ``w`` such that the
+    image of the rest of the edge plus ``w`` is in ``host.edges``.  None
+    when some step has no such ``w``."""
+    edges = {frozenset(e) for e in host.edges}
+    amap = dict(start)
+    for i in cert.order[1:]:
+        (u,) = [v for v in tree.edges[i] if v not in amap]
+        overlap = {amap[v] for v in tree.edges[i] if v != u}
+        fits = [w for w in range(host.n) if w not in amap.values() and overlap | {w} in edges]
+        if not fits:
+            return None
+        amap[u] = min(fits)
+    return amap

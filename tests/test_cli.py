@@ -185,6 +185,15 @@ def test_embed_command(tmp_path, capsys, m2, k35):
     assert len(res["map"]) == 6
 
 
+def test_embed_deep_matching_into_itself(tmp_path, capsys):
+    # the disjoint packing picks all 1,200 edges without one frame per pick
+    path = write(tmp_path, "m1200.json", gen_standard("matching", s=1200, r=3))
+    code, out, _ = run(capsys, "embed", path, path)
+    res = json.loads(out)["results"]
+    assert code == 0 and res["status"] == "found"
+    assert res["map"] == {str(v): v for v in range(3600)} and res["nodes"] == 1201
+
+
 def test_embed_budget_status(tmp_path, capsys, c34):
     from hgx import gen_C
 

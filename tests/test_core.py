@@ -20,6 +20,7 @@ from hgx import (
     common_link,
     complement,
     degree,
+    embed,
     find_sunflower,
     gen_C,
     gen_S,
@@ -138,6 +139,18 @@ def test_twins_match_the_transposition_brute_force():
 def test_construction_twins_are_marked_and_unmarked(build, n, t):
     # the exhaustive freeness hosts of Props 3.1/3.2 have two classes
     assert build(n, 3, t).twins == tuple(0 if v < t else t for v in range(n))
+
+
+def test_twins_of_a_huge_sparse_host(t3):
+    # the isolated vertices form one class, found without a loop over n
+    n = 10**6
+    host = Hypergraph(n, [[1, 2, 5], [2, 5, 6]], uniform_r=3)
+    assert host.twins[:10] == brute_twins(Hypergraph(10, host.edges, uniform_r=3))
+    assert host.twins[:10] == (0, 1, 2, 0, 0, 2, 1, 0, 0, 0)
+    # every vertex from 10 on is isolated, so its least swap partner is 0
+    assert len(host.twins) == n and set(host.twins[10:]) == {0}
+    assert swap_preserves(host, 0, n - 1) and not swap_preserves(host, 1, n - 1)
+    assert embed(t3, host).status == "none"
 
 
 # -- shadow -------------------------------------------------------------------

@@ -1,9 +1,17 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import brute_embeds, brute_kernel_degree, random_hypergraph, random_tree
+from helpers import (
+    brute_embeds,
+    brute_greedy_map,
+    brute_kernel_degree,
+    greedy_precondition,
+    random_hypergraph,
+    random_tree,
+)
 from hgx import (
     Hypergraph,
     embed,
@@ -129,6 +137,42 @@ def test_greedy_rejects_bad_start(t3, k35):
         greedy_tree_embed(t3, cert, k35, {0: 0, 1: 1})
     with pytest.raises(ValueError):
         greedy_tree_embed(t3, cert, k35, {0: 0, 1: 1, 3: 2})
+
+
+@pytest.mark.parametrize("r, multi, outcomes", [
+    (3, False, {"map": 82, "small": 118}),
+    (3, True, {"map": 79, "small": 116, "stuck": 5}),
+    (4, False, {"map": 72, "small": 128}),
+    (4, True, {"map": 74, "small": 124, "stuck": 2}),
+])
+def test_greedy_matches_the_brute_force_reference(r, multi, outcomes):
+    rng = random.Random(10 * r + multi)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(r + 1, r + 5)
+        universe = list(itertools.combinations(range(n), r))
+        edges = rng.sample(universe, rng.randint(1, len(universe)))
+        if multi:
+            edges += [rng.choice(edges) for _ in range(rng.randint(1, len(edges)))]
+        host = Hypergraph(n, edges, uniform_r=r, allow_multi=multi)
+        tree, cert = random_tree(rng, r, 4, tight=True)
+        image = rng.sample(rng.choice(edges), r)
+        start = dict(zip(sorted(tree.edge_sets[cert.order[0]]), image))
+        if not greedy_precondition(tree, host):
+            seen["small"] += 1
+            with pytest.raises(ValueError, match="host shadow degree too small"):
+                greedy_tree_embed(tree, cert, host, start)
+            continue
+        expected = brute_greedy_map(tree, cert, host, start)
+        if expected is None:
+            # repeated edges count toward the shadow degree but give no extension
+            seen["stuck"] += 1
+            with pytest.raises(AssertionError, match="guarantees an extension"):
+                greedy_tree_embed(tree, cert, host, start)
+            continue
+        seen["map"] += 1
+        assert greedy_tree_embed(tree, cert, host, start) == expected
+    assert seen == outcomes
 
 
 # -- expansion embedding --------------------------------------------------------
