@@ -430,7 +430,10 @@ class KKCheck(NamedTuple):
     shadow: int  # edges of the p-shadow
 
 
-def kk_check(hg: Hypergraph, p: int, tol: float = 1e-9) -> KKCheck:
+_KK_TOL = 1e-9  # bisection width for the real root x
+
+
+def kk_check(hg: Hypergraph, p: int) -> KKCheck:
     """Shadow-size lower bound check.
 
     Solves ``C(x, r) = |F|`` for real ``x >= r - 1`` by bisection, then
@@ -449,7 +452,7 @@ def kk_check(hg: Hypergraph, p: int, tol: float = 1e-9) -> KKCheck:
     lo, hi = float(r - 1), float(r)
     while real_binomial(hi, r) < m:
         hi *= 2
-    while hi - lo > tol:
+    while hi - lo > _KK_TOL:
         mid = (lo + hi) / 2
         if real_binomial(mid, r) < m:
             lo = mid

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import Hypergraph
 
@@ -48,51 +48,41 @@ def _matching_lower_bound(edges: list[frozenset[int]]) -> int:
 
 
 def _smallest(
-    hg: Hypergraph, forced: tuple[int, ...], banned: frozenset[int], cap: int, exact: bool, low: int
+    edges: Sequence[frozenset[int]], masks: Mapping[int, int], forced: tuple[int, ...],
+    banned: frozenset[int], cap: int, exact: bool, low: int,
 ) -> Optional[int]:
     """Size of the smallest set that hits every edge, exactly once when
     ``exact`` (a cross-cut) and at least once otherwise (a cover), contains
     ``forced`` and avoids ``banned``; None when there is none of size at
-    most ``cap``.
+    most ``cap``.  ``masks`` maps each vertex to the bitmask of its edges.
 
-    Fail-first branch and bound: branch on the unhit edge with the fewest
-    usable vertices, and cut a node whose size plus the disjoint unhit
+    Fail-first branch and bound over an explicit stack of (size, hit-edge
+    bitmask) entries: branch on the unhit edge with the fewest usable
+    vertices, children pushed in reverse so they pop in ascending order,
+    and cut an entry, when popped, whose size plus the disjoint unhit
     edges cannot beat the best set so far.  No set is kept.  The search
     stops once it finds a set of size ``low``, a known lower bound.
     """
-    edges, incident = hg.distinct_edges, hg.incidence
-    hit = [False] * len(edges)
+    hit = 0
     for v in forced:
-        for j in incident[v]:
-            if hit[j] and exact:
-                return None
-            hit[j] = True
+        if exact and hit & masks[v]:
+            return None
+        hit |= masks[v]
     best = cap + 1
-
-    def usable(i: int) -> list[int]:
-        return [
-            v for v in sorted(edges[i])
-            if v not in banned and not (exact and any(hit[j] for j in incident[v]))
-        ]
-
-    def search(size: int) -> None:
-        nonlocal best
-        unhit = [i for i, h in enumerate(hit) if not h]
-        if best <= low or size + _matching_lower_bound([edges[i] for i in unhit]) >= best:
-            return
+    stack = [(len(forced), hit)]
+    while stack and best > low:
+        size, hit = stack.pop()
+        unhit = [i for i in range(len(edges)) if not hit >> i & 1]
+        if size + _matching_lower_bound([edges[i] for i in unhit]) >= best:
+            continue
         if not unhit:
             best = size
-            return
-        for v in min((usable(i) for i in unhit), key=len):
-            # a cover may re-hit an edge, so undo only what v newly hit
-            newly = [j for j in incident[v] if not hit[j]]
-            for j in newly:
-                hit[j] = True
-            search(size + 1)
-            for j in newly:
-                hit[j] = False
-
-    search(len(forced))
+            continue
+        usable = (
+            [v for v in sorted(edges[i]) if v not in banned and not (exact and hit & masks[v])]
+            for i in unhit
+        )
+        stack.extend((size + 1, hit | masks[v]) for v in reversed(min(usable, key=len)))
     return best if best <= cap else None
 
 
@@ -106,21 +96,22 @@ def _minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
     """
     if any(not e for e in hg.edge_sets):
         raise ValueError("covers are undefined when the empty set is an edge")
-    vertices = sorted(hg.incidence)
-    value = _smallest(hg, (), frozenset(), len(vertices), exact, 0)
+    edges, vertices = hg.distinct_edges, sorted(hg.incidence)
+    masks = {v: sum(1 << j for j in js) for v, js in hg.incidence.items()}
+    value = _smallest(edges, masks, (), frozenset(), len(vertices), exact, 0)
     if value is None:
         return
     # (position, forced, banned, whether a minimum set is known to be left)
     stack = [(0, (), frozenset(), True)]
     while stack:
         k, forced, banned, holds = stack.pop()
-        if not holds and _smallest(hg, forced, banned, value, exact, value) is None:
+        if not holds and _smallest(edges, masks, forced, banned, value, exact, value) is None:
             continue
         if len(forced) == value:
             yield frozenset(forced)
             continue
         take = forced + (vertices[k],)
-        inside = _smallest(hg, take, banned, value, exact, value) is not None
+        inside = _smallest(edges, masks, take, banned, value, exact, value) is not None
         stack.append((k + 1, forced, banned | {vertices[k]}, not inside))
         if inside:
             stack.append((k + 1, take, banned, True))

@@ -61,11 +61,12 @@ def _backtrack_embed(
     vertex lying in the most-mapped edge, ties broken by descending
     degree then id; candidate targets ascend.  Pruning: every pattern
     edge must keep some host edge that contains its mapped part and
-    avoids all other used targets.  A target is skipped once a host twin
-    (``host.twins``) has failed at the same node: swapping the two fixes
-    every used target and maps the host onto itself, so its subtree fails
-    too.  Only failed subtrees are skipped, so the first map found is the
-    same as without the skip.
+    avoids all other used targets.  Only the least candidate of each host
+    twin class (``host.twins``) is pushed: a later one would be tried only
+    after the earlier ones failed, and swapping it with its failed twin
+    fixes every used target and maps the host onto itself, so its subtree
+    fails too.  A stack entry is (vertices placed before it, vertex,
+    target); popping one truncates ``placed`` to restore ``assignment``.
     """
     h_edges, edges_of = pattern.distinct_edges, pattern.incidence
     if not h_edges:
@@ -78,23 +79,25 @@ def _backtrack_embed(
     assignment: dict[int, int] = dict(initial or {})
     assert set(assignment) <= set(h_support), "initial map must live on the pattern"
     used: set[int] = set(assignment.values())
-    if len(used) != len(assignment):
-        return None
-
-    def images() -> Optional[list[frozenset[int]]]:
-        # each edge's mapped part; None once some edge cannot be completed
-        parts = []
-        for e in h_edges:
-            mapped = frozenset(assignment[v] for v in e if v in assignment)
-            if len(mapped) == len(e):
-                if mapped not in f_set:
-                    return None
-            elif next(host.extensions(mapped, used), None) is None:  # even an empty rest
-                return None
-            parts.append(mapped)
-        return parts
-
-    def dfs(parts: list[frozenset[int]]) -> Optional[dict[int, int]]:
+    placed: list[int] = []
+    stack: list[tuple[int, Optional[int], int]] = [(0, None, 0)]  # the root places nothing
+    while stack:
+        count, v, target = stack.pop()
+        for u in placed[count:]:
+            used.discard(assignment.pop(u))
+        del placed[count:]
+        if v is not None:
+            budget.tick()
+            assignment[v] = target
+            used.add(target)
+            placed.append(v)
+        # each edge's mapped part must still extend to a host edge avoiding used
+        parts = [frozenset(assignment[u] for u in e if u in assignment) for e in h_edges]
+        if not all(
+            p in f_set if len(p) == len(e) else next(host.extensions(p, used), None) is not None
+            for p, e in zip(parts, h_edges)
+        ):
+            continue
         if len(assignment) == len(h_support):
             return dict(assignment)
         v = min(
@@ -104,25 +107,11 @@ def _backtrack_embed(
         mapped = max((parts[i] for i in edges_of[v]), key=len)
         pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
         degree = len(edges_of[v])
-        failed = set()
-        for target in sorted(w for w in pool if w not in used and len(f_inc.get(w, ())) >= degree):
-            if twins[target] in failed:
-                continue
-            budget.tick()
-            assignment[v] = target
-            used.add(target)
-            nxt = images()
-            if nxt is not None:
-                found = dfs(nxt)
-                if found is not None:
-                    return found
-            del assignment[v]
-            used.discard(target)
-            failed.add(twins[target])
-        return None
-
-    parts = images()
-    return None if parts is None else dfs(parts)
+        least: dict[int, int] = {}  # twin class -> its least candidate
+        for w in sorted(w for w in pool if w not in used and len(f_inc.get(w, ())) >= degree):
+            least.setdefault(twins[w], w)
+        stack.extend((len(placed), v, w) for w in reversed(least.values()))
+    return None
 
 
 def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -> EmbedResult:
@@ -226,9 +215,9 @@ def greedy_tree_embed(
     vertex count minus r-1; under that bound an eligible extension vertex
     always exists and the smallest one is taken.  The host is read through
     ``edges`` and ``edge_sets`` alone: the bound counts the (r-1)-subsets of
-    the edges, repeats included, as ``min_shadow_degree`` does, and each
-    step scans the edges for the least unused ``w`` completing the image of
-    its overlap to an edge.
+    the distinct edges, the degree in the simple host, and each step scans
+    the edges for the least unused ``w`` completing the image of its
+    overlap to an edge.
     """
     r = tree.require_uniform()
     if r < 2 or host.uniform_r != r:
@@ -237,7 +226,8 @@ def greedy_tree_embed(
     if not _is_tight(tree, cert.order, cert.parent):
         raise ValueError("greedy embedding requires a tight certificate")
     size = len(tree.support())
-    subsets = map(itertools.combinations, host.edges, itertools.repeat(r - 1))
+    distinct = set(host.edges) if host.allow_multi else host.edges  # a simple host has no repeats
+    subsets = map(itertools.combinations, distinct, itertools.repeat(r - 1))
     counts = Counter(itertools.chain.from_iterable(subsets))
     if not counts or min(counts.values()) < size - r + 1:
         raise ValueError("host shadow degree too small for guaranteed embedding")

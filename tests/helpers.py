@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Optional
+import sys
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional
 
 from hgx import Hypergraph, TreeCertificate, min_shadow_degree
 
@@ -295,10 +297,11 @@ def brute_twins(hg: Hypergraph) -> tuple[int, ...]:
 
 def greedy_precondition(tree: Hypergraph, host: Hypergraph) -> bool:
     """The greedy embedding's degree bound, from ``min_shadow_degree``:
-    the host's minimum (r-1)-shadow degree, repeated edges counted, reaches
-    the tree's vertex count minus r-1."""
+    the minimum (r-1)-shadow degree of the simple host, each distinct edge
+    counted once, reaches the tree's vertex count minus r-1."""
     r = tree.uniform_r
-    return host.m > 0 and min_shadow_degree(host, r - 1) >= len(tree.support()) - r + 1
+    simple = Hypergraph(host.n, set(host.edges), uniform_r=r)
+    return host.m > 0 and min_shadow_degree(simple, r - 1) >= len(tree.support()) - r + 1
 
 
 def brute_greedy_map(
@@ -318,3 +321,18 @@ def brute_greedy_map(
             return None
         amap[u] = min(fits)
     return amap
+
+
+@contextmanager
+def recursion_headroom(frames: int) -> Iterator[None]:
+    """Lower the recursion limit to the current stack depth plus ``frames``,
+    so that a search whose depth grows with its input fails fast."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

@@ -141,9 +141,9 @@ def test_greedy_rejects_bad_start(t3, k35):
 
 @pytest.mark.parametrize("r, multi, outcomes", [
     (3, False, {"map": 82, "small": 118}),
-    (3, True, {"map": 79, "small": 116, "stuck": 5}),
+    (3, True, {"map": 75, "small": 125}),
     (4, False, {"map": 72, "small": 128}),
-    (4, True, {"map": 74, "small": 124, "stuck": 2}),
+    (4, True, {"map": 71, "small": 129}),
 ])
 def test_greedy_matches_the_brute_force_reference(r, multi, outcomes):
     rng = random.Random(10 * r + multi)
@@ -163,15 +163,8 @@ def test_greedy_matches_the_brute_force_reference(r, multi, outcomes):
             with pytest.raises(ValueError, match="host shadow degree too small"):
                 greedy_tree_embed(tree, cert, host, start)
             continue
-        expected = brute_greedy_map(tree, cert, host, start)
-        if expected is None:
-            # repeated edges count toward the shadow degree but give no extension
-            seen["stuck"] += 1
-            with pytest.raises(AssertionError, match="guarantees an extension"):
-                greedy_tree_embed(tree, cert, host, start)
-            continue
         seen["map"] += 1
-        assert greedy_tree_embed(tree, cert, host, start) == expected
+        assert greedy_tree_embed(tree, cert, host, start) == brute_greedy_map(tree, cert, host, start)
     assert seen == outcomes
 
 

@@ -2,16 +2,26 @@
 
 import random
 
-from helpers import brute_tight_ordering, brute_tree_ordering, random_hypergraph, random_tree
+from helpers import (
+    brute_tight_ordering,
+    brute_tree_ordering,
+    random_hypergraph,
+    random_tree,
+    recursion_headroom,
+)
 from hgx import (
     Hypergraph,
     compress,
+    embed,
     find_tree_ordering,
+    gen_standard,
     is_crosscut,
     r_partition,
     remove_certified,
     shadow,
+    sigma,
     subtree_at,
+    tau,
     tighten,
     trace_certified,
     verify_certificate,
@@ -279,3 +289,13 @@ def test_delete_crosscut_postconditions_random():
         assert hosted.support() == reduced.support()
         assert set(reduced.edges) <= set(hosted.edges)
         done += 1
+
+
+def test_search_depth_does_not_grow_with_the_input():
+    # a recursive search takes a frame per placed or chosen vertex, far more than 50
+    path, long_path = gen_standard("linear_path", m=40), gen_standard("linear_path", m=150)
+    matching = gen_standard("matching", s=80, r=3)
+    with recursion_headroom(50):
+        assert embed(path, path).found
+        assert tau(matching)[0] == 80
+        assert sigma(long_path)[0] == 75
