@@ -72,7 +72,8 @@ def _smallest(
     stack = [(len(forced), hit)]
     while stack and best > low:
         size, hit = stack.pop()
-        unhit = [i for i in range(len(edges)) if not hit >> i & 1]
+        # hit's binary digits, edge 0 first; a set bit past the last edge keeps leading zeros
+        unhit = [i for i, b in enumerate(reversed(f"{hit | 1 << len(edges):b}")) if b == "0"]
         if size + _matching_lower_bound([edges[i] for i in unhit]) >= best:
             continue
         if not unhit:

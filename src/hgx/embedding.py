@@ -226,8 +226,7 @@ def greedy_tree_embed(
     if not _is_tight(tree, cert.order, cert.parent):
         raise ValueError("greedy embedding requires a tight certificate")
     size = len(tree.support())
-    distinct = set(host.edges) if host.allow_multi else host.edges  # a simple host has no repeats
-    subsets = map(itertools.combinations, distinct, itertools.repeat(r - 1))
+    subsets = map(itertools.combinations, set(host.edges), itertools.repeat(r - 1))
     counts = Counter(itertools.chain.from_iterable(subsets))
     if not counts or min(counts.values()) < size - r + 1:
         raise ValueError("host shadow degree too small for guaranteed embedding")
