@@ -52,12 +52,17 @@ class Hypergraph:
     ):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = tuple(canonical_edge(e) for e in edges)
-        for e in canon:
-            if e and (e[0] < 0 or e[-1] >= n):
-                raise ValueError(f"edge {e} has vertices outside 0..{n - 1}")
-            if uniform_r is not None and len(e) != uniform_r:
-                raise ValueError(f"edge {e} violates uniformity r={uniform_r}")
+        canon = tuple([tuple(sorted(set(e))) for e in edges])
+        vertices = set().union(*canon)
+        # range and size are checked once over all edges; the loop only names the first bad edge
+        if vertices and (min(vertices) < 0 or max(vertices) >= n) or (
+            uniform_r is not None and set(map(len, canon)) - {uniform_r}
+        ):
+            for e in canon:
+                if e and (e[0] < 0 or e[-1] >= n):
+                    raise ValueError(f"edge {e} has vertices outside 0..{n - 1}")
+                if uniform_r is not None and len(e) != uniform_r:
+                    raise ValueError(f"edge {e} violates uniformity r={uniform_r}")
         if not allow_multi and len(set(canon)) != len(canon):
             raise ValueError("duplicate edge in a simple hypergraph")
         self.n = n

@@ -5,13 +5,24 @@ one.  tau is the minimum cover size; sigma is the minimum cross-cut size
 (infinite when no cross-cut exists).  Both come from one exact search,
 sized for desk-scale instances: a branch and bound for the minimum size,
 then an ascending vertex walk to the lex-least minimum set.
+
+The search runs on integer bitsets over the sorted support.  Its entries
+are (size, hit-edge mask, blocked-vertex mask) triples, where blocked
+vertices are the banned ones plus, for a cross-cut, every vertex of a hit
+edge.  Each unhit edge keeps only its unblocked, usable part, and the
+lower bound packs disjoint usable parts, each needing a vertex of its
+own: the disjoint-conflict bound of Max-SAT branch and bound (Li, Manyà
+& Planes 2005) on the columns that exact-cover search leaves open
+(Knuth, "Dancing Links", 2000).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Hypergraph
 
@@ -36,54 +47,57 @@ def is_crosscut(hg: Hypergraph, vertices: Iterable[int]) -> bool:
     return all(len(e & s) == 1 for e in hg.edge_sets)
 
 
-def _matching_lower_bound(edges: list[frozenset[int]]) -> int:
-    """Greedy disjoint-edge count; each needs its own cover vertex."""
-    used: set[int] = set()
-    count = 0
-    for e in edges:
-        if not (e & used):
-            used |= e
-            count += 1
-    return count
-
-
 def _smallest(
-    edges: Sequence[frozenset[int]], masks: Mapping[int, int], forced: tuple[int, ...],
-    banned: frozenset[int], cap: int, exact: bool, low: int,
+    edges: Sequence[int], masks: Sequence[int], stars: Sequence[int], forced: tuple[int, ...],
+    banned: int, cap: int, exact: bool, low: int,
 ) -> Optional[int]:
     """Size of the smallest set that hits every edge, exactly once when
     ``exact`` (a cross-cut) and at least once otherwise (a cover), contains
     ``forced`` and avoids ``banned``; None when there is none of size at
-    most ``cap``.  ``masks`` maps each vertex to the bitmask of its edges.
+    most ``cap``.  Vertices are bit positions: ``edges`` are vertex-bit
+    masks, and vertex k has the edge mask ``masks[k]`` and the star
+    ``stars[k]``, the vertex bits of its edges.
 
     Fail-first branch and bound over an explicit stack of (size, hit-edge
-    bitmask) entries: branch on the unhit edge with the fewest usable
-    vertices, children pushed in reverse so they pop in ascending order,
-    and cut an entry, when popped, whose size plus the disjoint unhit
-    edges cannot beat the best set so far.  No set is kept.  The search
-    stops once it finds a set of size ``low``, a known lower bound.
+    mask, blocked-vertex mask) entries.  Blocked are the banned vertices
+    and, for a cross-cut, every vertex of a hit edge.  An unhit edge's
+    usable part is its unblocked vertices.  A popped entry is cut when a
+    part is empty, or when its size plus a greedy packing of disjoint
+    parts, each needing a vertex of its own, cannot beat the best set so
+    far.  Otherwise it branches on the first part with the fewest
+    vertices, children pushed in reverse so they pop in ascending order.
+    No set is kept.  The search stops once it finds a set of size
+    ``low``, a known lower bound.
     """
-    hit = 0
-    for v in forced:
-        if exact and hit & masks[v]:
+    hit, blocked = 0, banned
+    for k in forced:
+        if exact and hit & masks[k]:
             return None
-        hit |= masks[v]
+        hit |= masks[k]
+        if exact:
+            blocked |= stars[k]
     best = cap + 1
-    stack = [(len(forced), hit)]
+    stack = [(len(forced), hit, blocked)]
     while stack and best > low:
-        size, hit = stack.pop()
-        # hit's binary digits, edge 0 first; a set bit past the last edge keeps leading zeros
-        unhit = [i for i, b in enumerate(reversed(f"{hit | 1 << len(edges):b}")) if b == "0"]
-        if size + _matching_lower_bound([edges[i] for i in unhit]) >= best:
+        size, hit, blocked = stack.pop()
+        parts = [e & ~blocked for i, e in enumerate(edges) if not hit >> i & 1]
+        if 0 in parts:
             continue
-        if not unhit:
+        used = bound = 0
+        for part in parts:
+            if not part & used:
+                used |= part
+                bound += 1
+        if size + bound >= best:
+            continue
+        if not parts:
             best = size
             continue
-        usable = (
-            [v for v in sorted(edges[i]) if v not in banned and not (exact and hit & masks[v])]
-            for i in unhit
-        )
-        stack.extend((size + 1, hit | masks[v]) for v in reversed(min(usable, key=len)))
+        part = min(parts, key=int.bit_count)
+        while part:
+            k = part.bit_length() - 1
+            stack.append((size + 1, hit | masks[k], blocked | stars[k] if exact else blocked))
+            part ^= 1 << k
     return best if best <= cap else None
 
 
@@ -93,27 +107,32 @@ def _minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
 
     An ascending vertex walk, include first, that enters a branch only
     when ``_smallest`` finds a minimum set left in it.  When no minimum
-    set contains the vertex, one avoids it, unchecked.
+    set contains the vertex, one avoids it, unchecked.  Vertex k of the
+    walk is the k-th least vertex of the support and bit k of every mask.
     """
     if any(not e for e in hg.edge_sets):
         raise ValueError("covers are undefined when the empty set is an edge")
-    edges, vertices = hg.distinct_edges, sorted(hg.incidence)
-    masks = {v: sum(1 << j for j in js) for v, js in hg.incidence.items()}
-    value = _smallest(edges, masks, (), frozenset(), len(vertices), exact, 0)
+    inc = hg.incidence
+    vertices = sorted(inc)
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    edges = [sum(bit[v] for v in e) for e in hg.distinct_edges]
+    masks = [sum(1 << j for j in inc[v]) for v in vertices]
+    stars = [functools.reduce(operator.or_, (edges[j] for j in inc[v])) for v in vertices]
+    value = _smallest(edges, masks, stars, (), 0, len(vertices), exact, 0)
     if value is None:
         return
     # (position, forced, banned, whether a minimum set is known to be left)
-    stack = [(0, (), frozenset(), True)]
+    stack = [(0, (), 0, True)]
     while stack:
         k, forced, banned, holds = stack.pop()
-        if not holds and _smallest(edges, masks, forced, banned, value, exact, value) is None:
+        if not holds and _smallest(edges, masks, stars, forced, banned, value, exact, value) is None:
             continue
         if len(forced) == value:
-            yield frozenset(forced)
+            yield frozenset(vertices[j] for j in forced)
             continue
-        take = forced + (vertices[k],)
-        inside = _smallest(edges, masks, take, banned, value, exact, value) is not None
-        stack.append((k + 1, forced, banned | {vertices[k]}, not inside))
+        take = forced + (k,)
+        inside = _smallest(edges, masks, stars, take, banned, value, exact, value) is not None
+        stack.append((k + 1, forced, banned | 1 << k, not inside))
         if inside:
             stack.append((k + 1, take, banned, True))
 

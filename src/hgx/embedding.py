@@ -34,14 +34,15 @@ class EmbedResult:
 
 
 def _verify_map(
-    h_edges: Sequence[frozenset[int]],
-    f_set: set[frozenset[int]],
+    h_edges: Iterable[Iterable[int]],
+    f_edges: set[Edge],
     amap: Mapping[int, int],
 ) -> None:
+    """``f_edges`` holds the host's edges in canonical sorted-tuple form."""
     values = list(amap.values())
     assert len(values) == len(set(values)), "embedding map must be injective"
     for e in h_edges:
-        assert frozenset(amap[v] for v in e) in f_set, "edge image missing from host"
+        assert tuple(sorted(amap[v] for v in e)) in f_edges, "edge image missing from host"
 
 
 def _is_uniform_matching(pattern: Hypergraph) -> bool:
@@ -121,7 +122,7 @@ def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -
     completed negative search.  Patterns that are uniform matchings run
     through a direct disjoint-edge packing, whose nodes charge the budget.
     """
-    h_edges, f_set = pattern.distinct_edges, set(host.distinct_edges)
+    h_edges = pattern.distinct_edges
     tracker = _Budget(budget)
 
     amap: Optional[dict[int, int]] = None
@@ -142,7 +143,7 @@ def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -
         return EmbedResult(BUDGET, None, tracker.nodes)
     if amap is None:
         return EmbedResult(NONE, None, tracker.nodes)
-    _verify_map(h_edges, f_set, amap)
+    _verify_map(h_edges, set(host.edges), amap)
     return EmbedResult(FOUND, amap, tracker.nodes)
 
 
@@ -214,10 +215,10 @@ def greedy_tree_embed(
     Requires the host's minimum (r-1)-shadow degree to reach the tree's
     vertex count minus r-1; under that bound an eligible extension vertex
     always exists and the smallest one is taken.  The host is read through
-    ``edges`` and ``edge_sets`` alone: the bound counts the (r-1)-subsets of
-    the distinct edges, the degree in the simple host, and each step scans
-    the edges for the least unused ``w`` completing the image of its
-    overlap to an edge.
+    ``edges`` alone, as a set of sorted tuples: the bound counts the
+    (r-1)-subsets of the distinct edges, the degree in the simple host,
+    and each step takes the least unused ``w`` of the host's support
+    that completes the image of its overlap to an edge.
     """
     r = tree.require_uniform()
     if r < 2 or host.uniform_r != r:
@@ -226,7 +227,8 @@ def greedy_tree_embed(
     if not _is_tight(tree, cert.order, cert.parent):
         raise ValueError("greedy embedding requires a tight certificate")
     size = len(tree.support())
-    subsets = map(itertools.combinations, set(host.edges), itertools.repeat(r - 1))
+    f_edges = set(host.edges)
+    subsets = map(itertools.combinations, f_edges, itertools.repeat(r - 1))
     counts = Counter(itertools.chain.from_iterable(subsets))
     if not counts or min(counts.values()) < size - r + 1:
         raise ValueError("host shadow degree too small for guaranteed embedding")
@@ -237,9 +239,9 @@ def greedy_tree_embed(
         raise ValueError("starting map must cover exactly the first edge")
     if len(set(amap.values())) != len(amap):
         raise ValueError("starting map must be injective")
-    f_set = set(host.edge_sets)
-    if frozenset(amap.values()) not in f_set:
+    if tuple(sorted(amap.values())) not in f_edges:
         raise ValueError("starting map must send the first edge onto a host edge")
+    support = sorted(set().union(*f_edges))
     used = set(amap.values())
     seen = set(first)
     for i in range(1, tree.m):
@@ -247,16 +249,16 @@ def greedy_tree_embed(
         fresh = e - seen
         assert len(fresh) == 1, "tight ordering adds one vertex per edge"
         u = next(iter(fresh))
-        overlap_img = frozenset(amap[v] for v in e - fresh)
-        extension = min(
-            (w for fe in f_set if overlap_img < fe for w in fe - overlap_img if w not in used),
-            default=None,
+        overlap = [amap[v] for v in e - fresh]
+        extension = next(
+            (w for w in support if w not in used and tuple(sorted([*overlap, w])) in f_edges),
+            None,
         )
         assert extension is not None, "degree precondition guarantees an extension"
         amap[u] = extension
         used.add(extension)
         seen |= e
-    _verify_map(list(sets), f_set, amap)
+    _verify_map(tree.edges, f_edges, amap)
     return amap
 
 
@@ -307,7 +309,7 @@ def expansion_embed(
         for a, b in zip(slots, petal):
             amap[a] = b
         used |= set(petal)
-    _verify_map(list(expanded.edge_sets), set(host.edge_sets), amap)
+    _verify_map(expanded.edges, set(host.edges), amap)
     return amap
 
 

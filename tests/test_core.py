@@ -59,6 +59,22 @@ def test_construction_rejects_nonuniform():
         Hypergraph(4, [[0, 1], [0, 1, 2]], uniform_r=2)
 
 
+@pytest.mark.parametrize(
+    "n, edges, r, message",
+    [
+        (3, [[0, 1], [3, 0]], None, r"^edge \(0, 3\) has vertices outside 0\.\.2$"),
+        (3, [[0, 1], [-1, 2]], None, r"^edge \(-1, 2\) has vertices outside 0\.\.2$"),
+        (4, [[1, 0], [2, 1, 0], [3, 4, 5, 6]], 2, r"^edge \(0, 1, 2\) violates uniformity r=2$"),
+        (5, [[0, 1, 2], [4, 3, 9], [0, 1]], 3, r"^edge \(3, 4, 9\) has vertices outside 0\.\.4$"),
+        (5, [[0, 1, 2], [0, 1], [2, 3, 9]], 3, r"^edge \(0, 1\) violates uniformity r=3$"),
+        (0, [[0]], None, r"^edge \(0,\) has vertices outside 0\.\.-1$"),
+    ],
+)
+def test_construction_errors_name_the_first_bad_edge(n, edges, r, message):
+    with pytest.raises(ValueError, match=message):
+        Hypergraph(n, edges, uniform_r=r)
+
+
 def test_construction_rejects_duplicates_when_simple():
     with pytest.raises(ValueError):
         Hypergraph(3, [[0, 1], [1, 0]])

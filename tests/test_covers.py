@@ -146,3 +146,66 @@ def test_sigma_at_least_tau():
         t, _ = tau(g)
         if s != float("inf"):
             assert s >= t
+
+
+def _triangle_with_pendants(counts):
+    """Linear triangle on core vertices 0, 1, 2 (tips 3, 4, 5) with
+    counts[c] pendant edges {c, fresh, fresh + 1} at core vertex c."""
+    edges = [[0, 1, 3], [1, 2, 4], [2, 0, 5]]
+    fresh = 6
+    for core, count in enumerate(counts):
+        for _ in range(count):
+            edges.append([core, fresh, fresh + 1])
+            fresh += 2
+    return Hypergraph(fresh, edges, uniform_r=3)
+
+
+@pytest.mark.parametrize("counts", [(10, 10, 10), (4, 9, 17), (1, 1, 28)])
+def test_linear_triangle_with_30_pendants(counts):
+    # A cross-cut holds at most one core vertex c; the triangle edge away
+    # from c and every pendant away from c then need a vertex each, so
+    # sigma = 2 + p - max(counts).  A packing that ignores the vertices
+    # blocked by c took about 33 s here.
+    g = _triangle_with_pendants(counts)
+    value, witness = sigma(g)
+    assert value == 2 + sum(counts) - max(counts)
+    assert is_crosscut(g, witness.vertices)
+    assert tau(g) == (3, Cover(frozenset({0, 1, 2})))
+
+
+def test_mixed_sizes_match_the_brute_force():
+    rng = random.Random(53)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        edges = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 12))]
+        edges += [rng.choice(edges) for _ in range(rng.choice((0, 0, 1, 3)))]
+        g = Hypergraph(n, edges, allow_multi=True)
+        size, covers = brute_min_covers(g)
+        assert tau(g) == (size, Cover(min(covers, key=sorted)))
+        size, cuts = brute_min_crosscuts(g)
+        answers[size is None] += 1
+        if size is None:
+            assert sigma(g) == (float("inf"), None)
+            with pytest.raises(ValueError):
+                enumerate_min_crosscuts(g)
+            continue
+        cuts.sort(key=sorted)
+        assert sigma(g) == (size, CrossCut(cuts[0]))
+        assert enumerate_min_crosscuts(g) == [CrossCut(c) for c in cuts]
+    assert min(answers.values()) >= 50, answers
+
+
+def test_sparse_labels_index_the_support():
+    # bit positions follow the support, not the vertex ids
+    base = 10**6 - 10
+    small = Hypergraph(10, [[0, 1, 2], [2, 3, 4], [4, 5, 9], [6, 7, 8], [1, 6]], allow_multi=True)
+    g = Hypergraph(10**6, [[base + v for v in e] for e in small.edges], allow_multi=True)
+    shift = lambda vs: frozenset(base + v for v in vs)  # noqa: E731
+    assert tau(g) == (tau(small)[0], Cover(shift(tau(small)[1].vertices)))
+    assert sigma(g) == (sigma(small)[0], CrossCut(shift(sigma(small)[1].vertices)))
+    assert [c.vertices for c in enumerate_min_crosscuts(g)] == [
+        shift(c.vertices) for c in enumerate_min_crosscuts(small)
+    ]
+    size, cuts = brute_min_crosscuts(g)
+    assert sigma(g) == (size, CrossCut(min(cuts, key=sorted)))
