@@ -201,7 +201,10 @@ def test_sparse_labels_index_the_support():
     base = 10**6 - 10
     small = Hypergraph(10, [[0, 1, 2], [2, 3, 4], [4, 5, 9], [6, 7, 8], [1, 6]], allow_multi=True)
     g = Hypergraph(10**6, [[base + v for v in e] for e in small.edges], allow_multi=True)
-    shift = lambda vs: frozenset(base + v for v in vs)  # noqa: E731
+
+    def shift(vs):
+        return frozenset(base + v for v in vs)
+
     assert tau(g) == (tau(small)[0], Cover(shift(tau(small)[1].vertices)))
     assert sigma(g) == (sigma(small)[0], CrossCut(shift(sigma(small)[1].vertices)))
     assert [c.vertices for c in enumerate_min_crosscuts(g)] == [
