@@ -10,9 +10,11 @@ The searches read edges through four views on the carrier:
 (vertex -> least vertex of its twin class), all cached on first use,
 and ``extensions`` (the rests of the distinct edges through a partial
 image that avoid given vertices, scanned from the image's rarest
-vertex).  One-pass readers scan ``edges`` or ``edge_sets`` directly and
-build none of them: the shadow and degree functions here, and
-``embedding.greedy_tree_embed``, which is usually handed a fresh host.
+vertex).  The shadow and degree functions here are one-pass readers:
+they scan ``edges`` or ``edge_sets`` directly and build none of them.
+``embedding.greedy_tree_embed`` builds none either; its callers often
+make a fresh host per call, so it reads the host through a bounded memo
+keyed on ``edges``, the tuple that equal hosts share.
 
 Every operation here is a pure function of immutable values, so objects
 can be shared freely across threads.

@@ -51,35 +51,36 @@ def _smallest(
     edges: Sequence[int], masks: Sequence[int], stars: Sequence[int], forced: tuple[int, ...],
     banned: int, cap: int, exact: bool, low: int,
 ) -> Optional[int]:
-    """Size of the smallest set that hits every edge, exactly once when
-    ``exact`` (a cross-cut) and at least once otherwise (a cover), contains
-    ``forced`` and avoids ``banned``; None when there is none of size at
-    most ``cap``.  Vertices are bit positions: ``edges`` are vertex-bit
-    masks, and vertex k has the edge mask ``masks[k]`` and the star
-    ``stars[k]``, the vertex bits of its edges.
+    """Vertex mask of a smallest set that hits every edge, exactly once
+    when ``exact`` (a cross-cut) and at least once otherwise (a cover),
+    contains ``forced`` and avoids ``banned``; None when there is none of
+    size at most ``cap``.  Vertices are bit positions: ``edges`` are
+    vertex-bit masks, and vertex k has the edge mask ``masks[k]`` and the
+    star ``stars[k]``, the vertex bits of its edges.
 
     Fail-first branch and bound over an explicit stack of (size, hit-edge
-    mask, blocked-vertex mask) entries.  Blocked are the banned vertices
-    and, for a cross-cut, every vertex of a hit edge.  An unhit edge's
-    usable part is its unblocked vertices.  A popped entry is cut when a
-    part is empty, or when its size plus a greedy packing of disjoint
-    parts, each needing a vertex of its own, cannot beat the best set so
-    far.  Otherwise it branches on the first part with the fewest
+    mask, blocked-vertex mask, chosen-vertex mask) entries.  Blocked are
+    the banned vertices and, for a cross-cut, every vertex of a hit edge.
+    An unhit edge's usable part is its unblocked vertices.  A popped entry
+    is cut when a part is empty, or when its size plus a greedy packing of
+    disjoint parts, each needing a vertex of its own, cannot beat the best
+    set so far.  Otherwise it branches on the first part with the fewest
     vertices, children pushed in reverse so they pop in ascending order.
-    No set is kept.  The search stops once it finds a set of size
-    ``low``, a known lower bound.
+    The search stops once it finds a set of size ``low``, a known lower
+    bound, and returns the last set it found.
     """
-    hit, blocked = 0, banned
+    hit, blocked, chosen = 0, banned, 0
     for k in forced:
         if exact and hit & masks[k]:
             return None
         hit |= masks[k]
+        chosen |= 1 << k
         if exact:
             blocked |= stars[k]
-    best = cap + 1
-    stack = [(len(forced), hit, blocked)]
+    best, found = cap + 1, None
+    stack = [(len(forced), hit, blocked, chosen)]
     while stack and best > low:
-        size, hit, blocked = stack.pop()
+        size, hit, blocked, chosen = stack.pop()
         parts = [e & ~blocked for i, e in enumerate(edges) if not hit >> i & 1]
         if 0 in parts:
             continue
@@ -91,14 +92,16 @@ def _smallest(
         if size + bound >= best:
             continue
         if not parts:
-            best = size
+            best, found = size, chosen
             continue
         part = min(parts, key=int.bit_count)
         while part:
             k = part.bit_length() - 1
-            stack.append((size + 1, hit | masks[k], blocked | stars[k] if exact else blocked))
+            stack.append((
+                size + 1, hit | masks[k], blocked | stars[k] if exact else blocked, chosen | 1 << k
+            ))
             part ^= 1 << k
-    return best if best <= cap else None
+    return found
 
 
 def _minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
@@ -106,8 +109,10 @@ def _minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
     ascending; none when no cross-cut exists.
 
     An ascending vertex walk, include first, that enters a branch only
-    when ``_smallest`` finds a minimum set left in it.  When no minimum
-    set contains the vertex, one avoids it, unchecked.  Vertex k of the
+    with a witness: a minimum set of the branch, found by ``_smallest``.
+    When vertex k is in the node's witness, the include branch takes it
+    as its own without a call; otherwise the witness serves the exclude
+    branch, which needs a call only when it does not.  Vertex k of the
     walk is the k-th least vertex of the support and bit k of every mask.
     """
     if any(not e for e in hg.edge_sets):
@@ -118,23 +123,30 @@ def _minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
     edges = [sum(bit[v] for v in e) for e in hg.distinct_edges]
     masks = [sum(1 << j for j in inc[v]) for v in vertices]
     stars = [functools.reduce(operator.or_, (edges[j] for j in inc[v])) for v in vertices]
-    value = _smallest(edges, masks, stars, (), 0, len(vertices), exact, 0)
-    if value is None:
+    found = _smallest(edges, masks, stars, (), 0, len(vertices), exact, 0)
+    if found is None:
         return
-    # (position, forced, banned, whether a minimum set is known to be left)
-    stack = [(0, (), 0, True)]
+    value = found.bit_count()
+    # (position, forced, banned, a minimum set containing forced and
+    # avoiding banned, or None when one is yet to be found)
+    stack: list[tuple[int, tuple[int, ...], int, Optional[int]]] = [(0, (), 0, found)]
     while stack:
-        k, forced, banned, holds = stack.pop()
-        if not holds and _smallest(edges, masks, stars, forced, banned, value, exact, value) is None:
-            continue
+        k, forced, banned, witness = stack.pop()
+        if witness is None:
+            witness = _smallest(edges, masks, stars, forced, banned, value, exact, value)
+            if witness is None:
+                continue
         if len(forced) == value:
             yield frozenset(vertices[j] for j in forced)
             continue
         take = forced + (k,)
-        inside = _smallest(edges, masks, stars, take, banned, value, exact, value) is not None
-        stack.append((k + 1, forced, banned | 1 << k, not inside))
-        if inside:
-            stack.append((k + 1, take, banned, True))
+        if witness >> k & 1:
+            inside, witness = witness, None
+        else:
+            inside = _smallest(edges, masks, stars, take, banned, value, exact, value)
+        stack.append((k + 1, forced, banned | 1 << k, witness))
+        if inside is not None:
+            stack.append((k + 1, take, banned, inside))
 
 
 def tau(hg: Hypergraph) -> tuple[int, Cover]:

@@ -7,10 +7,11 @@ non-backtracking procedures whose preconditions guarantee success.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     BudgetExceeded, Edge, Hypergraph, _Budget, _infer_r, _pack_disjoint, kernel_degree
@@ -35,7 +36,7 @@ class EmbedResult:
 
 def _verify_map(
     h_edges: Iterable[Iterable[int]],
-    f_edges: set[Edge],
+    f_edges: AbstractSet[Edge],
     amap: Mapping[int, int],
 ) -> None:
     """``f_edges`` holds the host's edges in canonical sorted-tuple form."""
@@ -204,6 +205,25 @@ def contains_anchored(
 # -- guaranteed procedures ---------------------------------------------------
 
 
+@functools.lru_cache
+def _host_read(edges: tuple[Edge, ...], r: int) -> tuple[frozenset[Edge], tuple[int, ...], int]:
+    """The greedy embedding's read of a host with canonical edge tuple
+    ``edges``: its distinct edges, its sorted support, and the least
+    (r-1)-shadow degree over the distinct edges (0 when there are none).
+
+    Memoised on the edge tuple, which equal hosts share, so a caller that
+    builds a fresh ``Hypergraph`` per call still hits.  The cache keeps the
+    stdlib default of 128 hosts.  A caller cycling through more misses
+    every time, and each miss adds one hash of the edge tuple to the read,
+    a few percent of its cost.
+    """
+    distinct = frozenset(edges)
+    counts = Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, distinct, itertools.repeat(r - 1))
+    ))
+    return distinct, tuple(sorted(set().union(*distinct))), min(counts.values(), default=0)
+
+
 def greedy_tree_embed(
     tree: Hypergraph,
     cert: TreeCertificate,
@@ -214,11 +234,12 @@ def greedy_tree_embed(
 
     Requires the host's minimum (r-1)-shadow degree to reach the tree's
     vertex count minus r-1; under that bound an eligible extension vertex
-    always exists and the smallest one is taken.  The host is read through
-    ``edges`` alone, as a set of sorted tuples: the bound counts the
+    always exists and the smallest one is taken.  The host is read once
+    per distinct edge tuple, through ``_host_read``: the bound counts the
     (r-1)-subsets of the distinct edges, the degree in the simple host,
     and each step takes the least unused ``w`` of the host's support
-    that completes the image of its overlap to an edge.
+    that completes the image of its overlap to an edge.  Every check runs
+    on every call, whether the read came from the cache or not.
     """
     r = tree.require_uniform()
     if r < 2 or host.uniform_r != r:
@@ -226,11 +247,10 @@ def greedy_tree_embed(
     _assert_valid(tree, cert)
     if not _is_tight(tree, cert.order, cert.parent):
         raise ValueError("greedy embedding requires a tight certificate")
-    size = len(tree.support())
-    f_edges = set(host.edges)
-    subsets = map(itertools.combinations, f_edges, itertools.repeat(r - 1))
-    counts = Counter(itertools.chain.from_iterable(subsets))
-    if not counts or min(counts.values()) < size - r + 1:
+    if not tree.m:
+        raise ValueError("greedy embedding needs a tree with at least one edge")
+    f_edges, support, floor = _host_read(host.edges, r)
+    if floor < len(tree.support()) - r + 1:
         raise ValueError("host shadow degree too small for guaranteed embedding")
     sets = tree.edge_sets
     first = sets[cert.order[0]]
@@ -241,7 +261,6 @@ def greedy_tree_embed(
         raise ValueError("starting map must be injective")
     if tuple(sorted(amap.values())) not in f_edges:
         raise ValueError("starting map must send the first edge onto a host edge")
-    support = sorted(set().union(*f_edges))
     used = set(amap.values())
     seen = set(first)
     for i in range(1, tree.m):

@@ -27,6 +27,8 @@ from hgx import (
     min_shadow_degree,
     missing_vs_nonm_check,
 )
+from hgx.embedding import _host_read
+from hgx.trees import TreeCertificate
 
 
 def complete(n, r):
@@ -139,6 +141,20 @@ def test_greedy_rejects_bad_start(t3, k35):
         greedy_tree_embed(t3, cert, k35, {0: 0, 1: 1, 3: 2})
 
 
+def test_greedy_rejects_edgeless_tree(k35):
+    empty = Hypergraph(0, [], uniform_r=3)
+    with pytest.raises(ValueError, match="at least one edge"):
+        greedy_tree_embed(empty, TreeCertificate((), {}, tight=True), k35, {})
+
+
+def greedy_outcome(tree, cert, host, start):
+    """The map, or the message of the ValueError raised instead."""
+    try:
+        return greedy_tree_embed(tree, cert, host, start)
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("r, multi, outcomes", [
     (3, False, {"map": 82, "small": 118}),
     (3, True, {"map": 75, "small": 125}),
@@ -158,14 +174,40 @@ def test_greedy_matches_the_brute_force_reference(r, multi, outcomes):
         tree, cert = random_tree(rng, r, 4, tight=True)
         image = rng.sample(rng.choice(edges), r)
         start = dict(zip(sorted(tree.edge_sets[cert.order[0]]), image))
+        # once on a cold host memo, once on the entry that call left
+        _host_read.cache_clear()
+        outcome = greedy_outcome(tree, cert, host, start)
+        assert greedy_outcome(tree, cert, host, start) == outcome
+        assert _host_read.cache_info()[:2] == (1, 1)  # hits, misses
         if not greedy_precondition(tree, host):
             seen["small"] += 1
-            with pytest.raises(ValueError, match="host shadow degree too small"):
-                greedy_tree_embed(tree, cert, host, start)
+            assert outcome == "host shadow degree too small for guaranteed embedding"
             continue
         seen["map"] += 1
-        assert greedy_tree_embed(tree, cert, host, start) == brute_greedy_map(tree, cert, host, start)
+        assert outcome == brute_greedy_map(tree, cert, host, start)
     assert seen == outcomes
+
+
+def test_greedy_verdict_ignores_edge_order_and_repeats():
+    rng = random.Random(19)
+    for _ in range(60):
+        r = rng.randint(2, 4)
+        n = rng.randint(r + 1, r + 4)
+        universe = list(itertools.combinations(range(n), r))
+        edges = rng.sample(universe, rng.randint(len(universe) // 2, len(universe)))
+        tree, cert = random_tree(rng, r, 4, tight=True)
+        start = dict(zip(sorted(tree.edge_sets[cert.order[0]]), rng.sample(edges[0], r)))
+        hosts = [
+            Hypergraph(n, edges, uniform_r=r),
+            Hypergraph(n, edges[::-1], uniform_r=r),
+            Hypergraph(n, edges + edges[: rng.randint(1, len(edges))], uniform_r=r, allow_multi=True),
+        ]
+        outcomes = [greedy_outcome(tree, cert, host, start) for host in hosts]
+        assert outcomes[1] == outcomes[2] == outcomes[0]
+
+
+def test_greedy_host_memo_is_bounded():
+    assert _host_read.cache_info().maxsize is not None
 
 
 # -- expansion embedding --------------------------------------------------------
