@@ -11,7 +11,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     BudgetExceeded, Edge, Hypergraph, _Budget, _infer_r, _pack_disjoint, kernel_degree
@@ -54,10 +54,10 @@ def _is_uniform_matching(pattern: Hypergraph) -> bool:
 def _backtrack_embed(
     pattern: Hypergraph,
     host: Hypergraph,
-    initial: Optional[dict[int, int]],
+    starts: Iterable[Mapping[int, int]],
     budget: _Budget,
 ) -> Optional[dict[int, int]]:
-    """Exhaustive injective-map search; None only after exhausting it.
+    """Exhaustive search for an injective map extending a start; None only after all fail.
 
     Degrees count distinct edges.  The next variable is the unassigned
     vertex lying in the most-mapped edge, ties broken by descending
@@ -67,52 +67,57 @@ def _backtrack_embed(
     twin class (``host.twins``) is pushed: a later one would be tried only
     after the earlier ones failed, and swapping it with its failed twin
     fixes every used target and maps the host onto itself, so its subtree
-    fails too.  A stack entry is (vertices placed before it, vertex,
-    target); popping one truncates ``placed`` to restore ``assignment``.
+    fails too.  A stack entry is (vertices placed before it, placements);
+    popping one truncates ``placed`` to restore ``assignment``.  The
+    starts are the stack's roots in turn.  An entry that places vertices
+    ticks ``budget`` once, as does each placing start when a pattern
+    edge size missing from the host leaves nothing to search.
     """
     h_edges, edges_of = pattern.distinct_edges, pattern.incidence
-    if not h_edges:
-        return dict(initial or {})
     f_set, f_inc, twins = set(host.distinct_edges), host.incidence, host.twins
     h_support = sorted(edges_of)
     if not {len(e) for e in h_edges} <= {len(e) for e in f_set}:
+        for _ in filter(None, starts):
+            budget.tick()
         return None
 
-    assignment: dict[int, int] = dict(initial or {})
-    assert set(assignment) <= set(h_support), "initial map must live on the pattern"
-    used: set[int] = set(assignment.values())
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
     placed: list[int] = []
-    stack: list[tuple[int, Optional[int], int]] = [(0, None, 0)]  # the root places nothing
-    while stack:
-        count, v, target = stack.pop()
-        for u in placed[count:]:
-            used.discard(assignment.pop(u))
-        del placed[count:]
-        if v is not None:
-            budget.tick()
-            assignment[v] = target
-            used.add(target)
-            placed.append(v)
-        # each edge's mapped part must still extend to a host edge avoiding used
-        parts = [frozenset(assignment[u] for u in e if u in assignment) for e in h_edges]
-        if not all(
-            p in f_set if len(p) == len(e) else next(host.extensions(p, used), None) is not None
-            for p, e in zip(parts, h_edges)
-        ):
-            continue
-        if len(assignment) == len(h_support):
-            return dict(assignment)
-        v = min(
-            (u for u in h_support if u not in assignment),
-            key=lambda u: (-max(len(parts[i]) for i in edges_of[u]), -len(edges_of[u]), u),
-        )
-        mapped = max((parts[i] for i in edges_of[v]), key=len)
-        pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
-        degree = len(edges_of[v])
-        least: dict[int, int] = {}  # twin class -> its least candidate
-        for w in sorted(w for w in pool if w not in used and len(f_inc.get(w, ())) >= degree):
-            least.setdefault(twins[w], w)
-        stack.extend((len(placed), v, w) for w in reversed(least.values()))
+    for start in starts:
+        assert start.keys() <= edges_of.keys(), "start map must live on the pattern"
+        stack: list[tuple[int, Collection[tuple[int, int]]]] = [(0, start.items())]
+        while stack:
+            count, placements = stack.pop()
+            for u in placed[count:]:
+                used.discard(assignment.pop(u))
+            del placed[count:]
+            if placements:
+                budget.tick()
+            for v, target in placements:
+                assignment[v] = target
+                used.add(target)
+                placed.append(v)
+            # each edge's mapped part must still extend to a host edge avoiding used
+            parts = [frozenset(assignment[u] for u in e if u in assignment) for e in h_edges]
+            if not all(
+                p in f_set if len(p) == len(e) else next(host.extensions(p, used), None) is not None
+                for p, e in zip(parts, h_edges)
+            ):
+                continue
+            if len(assignment) == len(h_support):
+                return dict(assignment)
+            v = min(
+                (u for u in h_support if u not in assignment),
+                key=lambda u: (-max(len(parts[i]) for i in edges_of[u]), -len(edges_of[u]), u),
+            )
+            mapped = max((parts[i] for i in edges_of[v]), key=len)
+            pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
+            degree = len(edges_of[v])
+            least: dict[int, int] = {}  # twin class -> its least candidate
+            for w in sorted(w for w in pool if w not in used and len(f_inc.get(w, ())) >= degree):
+                least.setdefault(twins[w], w)
+            stack.extend((len(placed), ((v, w),)) for w in reversed(least.values()))
     return None
 
 
@@ -139,7 +144,7 @@ def embed(pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None) -
                     for a, b in zip(sorted(he), sorted(pool[idx]))
                 }
         else:
-            amap = _backtrack_embed(pattern, host, None, tracker)
+            amap = _backtrack_embed(pattern, host, [{}], tracker)
     except BudgetExceeded:
         return EmbedResult(BUDGET, None, tracker.nodes)
     if amap is None:
@@ -171,17 +176,9 @@ def _anchored(
         size, _ = _pack_disjoint(pool, len(h_edges) - 1, budget)
         return size >= len(h_edges) - 1
 
-    anchor_list = sorted(anchor)
-    for root in h_edges:
-        if len(root) != len(anchor):
-            continue
-        root_list = sorted(root)
-        for image in itertools.permutations(anchor_list):
-            budget.tick()
-            found = _backtrack_embed(pattern, host, dict(zip(root_list, image)), budget)
-            if found is not None:
-                return True
-    return False
+    perms = list(itertools.permutations(sorted(anchor)))
+    starts = (dict(zip(sorted(root), p)) for root in h_edges if len(root) == len(anchor) for p in perms)
+    return _backtrack_embed(pattern, host, starts, budget) is not None
 
 
 def contains_anchored(

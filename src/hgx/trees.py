@@ -355,6 +355,11 @@ def host_tree(
     Every vertex outside ``sub`` is folded onto the same-colour vertex of
     the parent of its first edge, so the result still contains ``sub``
     verbatim and lives on exactly its vertex set.
+
+    The folds are one substitution over one colouring of the tree rooted
+    at ``sub``'s first edge.  Folding one vertex at a time with ``compress``
+    gives the same tree: a fold changes no colour, ordering or first edge,
+    so each vertex lands on the final image of its parent vertex.
     """
     tree_sets = set(tree.edge_sets)
     if any(s not in tree_sets for s in sub.edge_sets):
@@ -365,22 +370,20 @@ def host_tree(
     root = tree.edges.index(sub.edges[0])
     rooted = find_tree_ordering(tree, root=root)
     assert rooted is not None, "a certified tree admits a rooted ordering"
-    cur, cur_cert = tree, rooted
-    target = sub.support()
-    while True:
-        extra = sorted(cur.support() - target)
-        if not extra:
-            break
-        x = extra[0]
-        classes = r_partition(cur, cur_cert)
-        colour_of_x = next(k for k, cl in enumerate(classes) if x in cl)
-        sets = cur.edge_sets
-        pos = next(p for p in range(cur.m) if x in sets[cur_cert.order[p]])
-        assert pos >= 1, "the root edge lies inside the hosted subgraph"
-        pe = sets[cur_cert.order[cur_cert.parent[pos]]]
-        y = next(v for v in pe if v in classes[colour_of_x])
-        cur, cur_cert = compress(cur, cur_cert, pos, x, y)
-    out, out_cert = trace_certified(cur, cur_cert, range(cur.n))
+    target, sets = sub.support(), tree.edge_sets
+    assert sets[root] <= target, "the root edge lies inside the hosted subgraph"
+    # a tree with nothing to fold need not be uniform
+    classes = r_partition(tree, rooted) if tree.support() != target else []
+    colour = {v: k for k, cl in enumerate(classes) for v in cl}
+    image: dict[int, int] = {}
+    for pos in range(1, tree.m):
+        pe = sets[rooted.order[rooted.parent[pos]]]
+        # outside sub, e - pe holds the edge's fresh vertices and ones already folded
+        for x in (sets[rooted.order[pos]] - pe - target).difference(image):
+            y = next(v for v in pe if colour[v] == colour[x])
+            image[x] = image.get(y, y)
+    folded = Hypergraph(tree.n, [[image.get(v, v) for v in e] for e in sets], allow_multi=True)
+    out, out_cert = trace_certified(folded, rooted, range(tree.n))
     assert out.support() == target
     out_sets = set(out.edge_sets)
     assert all(s in out_sets for s in sub.edge_sets)
@@ -536,8 +539,7 @@ def delete_crosscut(
         Hypergraph(fresh, rounded_edges, uniform_r=r - 1), dict(traced_cert.parent)
     )
 
-    widened = Hypergraph(fresh, reduced.edges, uniform_r=r - 1)
-    hosted, hosted_cert = host_tree(widened, rounded, rounded_cert)
+    hosted, hosted_cert = host_tree(reduced, rounded, rounded_cert)
     out = Hypergraph(sub.n, hosted.edges, uniform_r=r - 1)
     return out, hosted_cert
 

@@ -12,7 +12,15 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional
 
-from hgx import Hypergraph, TreeCertificate, min_shadow_degree
+from hgx import (
+    Hypergraph,
+    TreeCertificate,
+    compress,
+    find_tree_ordering,
+    min_shadow_degree,
+    r_partition,
+    trace_certified,
+)
 
 
 def brute_shadow(edges: Iterable[Iterable[int]], p: int) -> set[tuple[int, ...]]:
@@ -201,6 +209,29 @@ def random_tree(
     hg = Hypergraph(fresh, edges, uniform_r=r)
     cert = TreeCertificate(tuple(range(m)), parent, tight=tight)
     return hg, cert
+
+
+def fold_one_at_a_time(sub: Hypergraph, tree: Hypergraph) -> tuple[Hypergraph, TreeCertificate]:
+    """The smallest hosting tree by its definition, one fold at a time.
+
+    Orders the tree from ``sub``'s first edge.  While a vertex lies
+    outside ``sub``, takes the least one, recolours the current tree and
+    ``compress``es that vertex onto the same-colour vertex of the parent
+    of its first edge.  Then traces on every vertex, which drops the
+    repeated edges.
+    """
+    rooted = find_tree_ordering(tree, root=tree.edges.index(sub.edges[0]))
+    cur, cur_cert = tree, rooted
+    target = sub.support()
+    while cur.support() != target:
+        x = min(cur.support() - target)
+        classes = r_partition(cur, cur_cert)
+        (same,) = [cl for cl in classes if x in cl]
+        sets = cur.edge_sets
+        pos = next(p for p in range(cur.m) if x in sets[cur_cert.order[p]])
+        (y,) = sets[cur_cert.order[cur_cert.parent[pos]]] & same
+        cur, cur_cert = compress(cur, cur_cert, pos, x, y)
+    return trace_certified(cur, cur_cert, range(cur.n))
 
 
 def random_hypergraph(

@@ -13,7 +13,9 @@ from helpers import (
     random_tree,
 )
 from hgx import (
+    BudgetExceeded,
     Hypergraph,
+    contains_anchored,
     embed,
     expansion_embed,
     find_sunflower,
@@ -316,3 +318,28 @@ def test_missing_vs_nonm_on_a_random_graph():
     g = random_hypergraph(random.Random(100), 8, 3, 10)
     c3 = gen_standard("linear_cycle", m=3, r=3)
     assert tuple(missing_vs_nonm_check(g, c3)) == (2, 92, True)
+
+
+# -- anchored search ---------------------------------------------------------
+
+
+def test_anchored_search_charges_each_placement_when_an_edge_size_is_missing():
+    # the host has no pair, so nothing is searched, but each of the six
+    # placements of the triple (2,3,4) on the anchor is still charged
+    pattern = Hypergraph(5, [(0, 1), (2, 3, 4)])
+    family, anchor = [frozenset({0, 1, 2}), frozenset({3, 4, 5})], frozenset({0, 1, 2})
+    with pytest.raises(BudgetExceeded):
+        contains_anchored(pattern, family, anchor, budget=5)
+    assert contains_anchored(pattern, family, anchor, budget=6) is False
+
+
+def test_anchored_search_tries_placements_in_order():
+    # Only the last root, (3,4,5), fits on the anchor, and only with 3 -> 12:
+    # the fifth of its six placements.  The 16 placements before it each
+    # cost one node and die at once; the copy costs 1 + 3 more.
+    pattern = Hypergraph(6, [(0, 1, 2), (1, 2, 3), (3, 4, 5)])
+    family = [frozenset({12, 13, 14}), frozenset({13, 14, 15})]
+    anchor = frozenset({10, 11, 12})
+    with pytest.raises(BudgetExceeded):
+        contains_anchored(pattern, family, anchor, budget=19)
+    assert contains_anchored(pattern, family, anchor, budget=20) is True

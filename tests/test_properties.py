@@ -5,6 +5,7 @@ import random
 from helpers import (
     brute_tight_ordering,
     brute_tree_ordering,
+    fold_one_at_a_time,
     random_hypergraph,
     random_tree,
     recursion_headroom,
@@ -214,6 +215,36 @@ def test_host_tree_postconditions_random():
         assert hosted.support() == sub.support()
         assert set(sub.edges) <= set(hosted.edges)
         done += 1
+
+
+def test_host_tree_matches_folding_one_vertex_at_a_time():
+    # host_tree folds every outside vertex in one substitution; the second
+    # route recolours and compresses after each fold
+    import json
+
+    from hgx import host_tree
+
+    rng = random.Random(139)
+    several = 0
+    for _ in range(1000):
+        r = rng.choice([2, 3, 4])
+        tree, _ = random_tree(rng, r, 8)
+        edges = list(tree.edges)
+        if rng.random() < 0.3:
+            edges += rng.choices(edges, k=rng.randint(1, 3))
+            rng.shuffle(edges)
+        tree = Hypergraph(tree.n, edges, uniform_r=r, allow_multi=True)
+        sub_edges = rng.sample(edges, rng.randint(1, len(edges)))
+        if rng.random() < 0.3:
+            sub_edges += rng.choices(sub_edges, k=rng.randint(1, 2))
+        sub = Hypergraph(tree.n, sub_edges, uniform_r=r, allow_multi=True)
+        cert = find_tree_ordering(tree)
+        got, got_cert = host_tree(sub, tree, cert)
+        want, want_cert = fold_one_at_a_time(sub, tree)
+        assert got.edges == want.edges, (tree.edges, sub.edges)
+        assert json.dumps(got_cert.to_json_obj()) == json.dumps(want_cert.to_json_obj())
+        several += len(tree.support() - sub.support()) > 1
+    assert several >= 500, several
 
 
 def test_expansion_embed_random_instances():
