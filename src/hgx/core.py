@@ -1,7 +1,9 @@
 """Hypergraph carrier type and the basic set-system toolbox.
 
-Vertices are integers ``0..n-1``.  Edges are canonicalised to sorted
-tuples.  The edge *list* is ordered because tree certificates index into
+Vertices are integers ``0..n-1``.  Edges are kept as sorted,
+duplicate-free tuples: edges of one size that are already strictly
+increasing are kept as given, and any other input is canonicalised edge
+by edge.  The edge *list* is ordered because tree certificates index into
 it; edge order is ignored by equality, which compares edge multisets.
 
 The searches read edges through four views on the carrier:
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -54,12 +57,21 @@ class Hypergraph:
     ):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = tuple([tuple(sorted(set(e))) for e in edges])
-        vertices = set().union(*canon)
-        # range and size are checked once over all edges; the loop only names the first bad edge
-        if vertices and (min(vertices) < 0 or max(vertices) >= n) or (
-            uniform_r is not None and set(map(len, canon)) - {uniform_r}
-        ):
+        canon = tuple(map(tuple, edges))
+        sizes = set(map(len, canon))
+        cols = list(zip(*canon))
+        if len(sizes) == 1 and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:])):
+            # strictly increasing edges of one size are canonical as given;
+            # their least and greatest vertices sit in the end columns
+            low, high = (min(cols[0]), max(cols[-1])) if cols else (0, -1)
+        else:
+            canon = tuple([tuple(sorted(set(e))) for e in canon])
+            sizes = set(map(len, canon))
+            vertices = set().union(*canon)
+            low, high = (min(vertices), max(vertices)) if vertices else (0, -1)
+        # range and size are checked once over all edges, (0, -1) standing for
+        # no vertices; the loop only names the first bad edge
+        if low < 0 or high >= n or (uniform_r is not None and sizes - {uniform_r}):
             for e in canon:
                 if e and (e[0] < 0 or e[-1] >= n):
                     raise ValueError(f"edge {e} has vertices outside 0..{n - 1}")
@@ -370,7 +382,7 @@ def link(hg: Hypergraph, x: int) -> Hypergraph:
     return Hypergraph(
         hg.n,
         [sorted(e) for e in edges],
-        uniform_r=_infer_r([tuple(sorted(e)) for e in edges]),
+        uniform_r=_infer_r(edges),
         allow_multi=hg.allow_multi,
     )
 

@@ -98,11 +98,15 @@ def _backtrack_embed(
                 assignment[v] = target
                 used.add(target)
                 placed.append(v)
-            # each edge's mapped part must still extend to a host edge avoiding used
+            # each edge's mapped part must still extend to a host edge avoiding
+            # used; the unmapped edges all ask once whether some host edge does
             parts = [frozenset(assignment[u] for u in e if u in assignment) for e in h_edges]
             if not all(
                 p in f_set if len(p) == len(e) else next(host.extensions(p, used), None) is not None
-                for p, e in zip(parts, h_edges)
+                for p, e in zip(parts, h_edges) if p or not e
+            ) or (
+                any(e and not p for p, e in zip(parts, h_edges))
+                and not any(map(used.isdisjoint, host.distinct_edges))
             ):
                 continue
             if len(assignment) == len(h_support):

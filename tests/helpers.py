@@ -367,3 +367,75 @@ def recursion_headroom(frames: int) -> Iterator[None]:
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+def reference_edges(
+    n: int, edges: Iterable[Iterable[int]], uniform_r: Optional[int] = None, allow_multi: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """The carrier's edge tuple by its definition: every edge sorted and
+    de-duplicated, then checked edge by edge for its range and then its
+    size, then the whole list for repeats.  Raises the carrier's
+    ``ValueError`` for the first failing check."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    canon = tuple(tuple(sorted(set(e))) for e in edges)
+    for e in canon:
+        if e and (e[0] < 0 or e[-1] >= n):
+            raise ValueError(f"edge {e} has vertices outside 0..{n - 1}")
+        if uniform_r is not None and len(e) != uniform_r:
+            raise ValueError(f"edge {e} violates uniformity r={uniform_r}")
+    if not allow_multi and len(set(canon)) != len(canon):
+        raise ValueError("duplicate edge in a simple hypergraph")
+    return canon
+
+
+def reference_embed(
+    pattern: Hypergraph, host: Hypergraph, budget: Optional[int] = None
+) -> tuple[str, Optional[dict[int, int]], int]:
+    """``embed``'s backtracking search, (status, map, nodes), with every
+    pattern edge checked through ``host.extensions`` at every node, the
+    unmapped ones one by one.  Variable order, candidate order, twin
+    pruning and node charging are the library's; the pattern must not be
+    a uniform matching, which ``embed`` packs instead."""
+    h_edges, edges_of = pattern.distinct_edges, pattern.incidence
+    f_set, f_inc, twins = set(host.distinct_edges), host.incidence, host.twins
+    h_support = sorted(edges_of)
+    if not {len(e) for e in h_edges} <= {len(e) for e in f_set}:
+        return "none", None, 0
+    nodes = 0
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
+    placed: list[int] = []
+    stack: list[tuple[int, tuple[tuple[int, int], ...]]] = [(0, ())]
+    while stack:
+        count, placements = stack.pop()
+        for u in placed[count:]:
+            used.discard(assignment.pop(u))
+        del placed[count:]
+        if placements:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return "budget", None, nodes
+        for v, target in placements:
+            assignment[v] = target
+            used.add(target)
+            placed.append(v)
+        parts = [frozenset(assignment[u] for u in e if u in assignment) for e in h_edges]
+        if not all(
+            p in f_set if len(p) == len(e) else next(host.extensions(p, used), None) is not None
+            for p, e in zip(parts, h_edges)
+        ):
+            continue
+        if len(assignment) == len(h_support):
+            return "found", dict(assignment), nodes
+        v = min(
+            (u for u in h_support if u not in assignment),
+            key=lambda u: (-max(len(parts[i]) for i in edges_of[u]), -len(edges_of[u]), u),
+        )
+        mapped = max((parts[i] for i in edges_of[v]), key=len)
+        pool = set().union(*host.extensions(mapped, used)) if mapped else f_inc
+        least: dict[int, int] = {}
+        for w in sorted(w for w in pool if w not in used and len(f_inc.get(w, ())) >= len(edges_of[v])):
+            least.setdefault(twins[w], w)
+        stack.extend((len(placed), ((v, w),)) for w in reversed(least.values()))
+    return "none", None, nodes

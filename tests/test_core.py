@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -13,6 +15,7 @@ from helpers import (
     brute_twins,
     random_hypergraph,
     random_multi_hypergraph,
+    reference_edges,
     swap_preserves,
 )
 from hgx import (
@@ -79,6 +82,71 @@ def test_construction_rejects_duplicates_when_simple():
     with pytest.raises(ValueError):
         Hypergraph(3, [[0, 1], [1, 0]])
     Hypergraph(3, [[0, 1], [1, 0]], allow_multi=True)  # fine
+
+
+# each form builds a fresh iterable over an edge's drawn vertices
+_EDGE_FORMS = {
+    "sorted": lambda vs: tuple(sorted(vs)),
+    "list": list,
+    "reversed": lambda vs: tuple(sorted(vs, reverse=True)),
+    "repeated": lambda vs: [*vs, *vs[-1:]],
+    "set": set,
+    "range": lambda vs: range(vs[0], vs[0] + len(vs)) if vs else range(0),
+    "generator": lambda vs: (v for v in vs),
+}
+
+
+def _carrier_input(rng):
+    """(n, edge specs, uniform_r, allow_multi); a spec is (form, vertices)."""
+    n = rng.choice([-1, 0, 1, 2, 3, 5, 8, 8])
+    k = rng.randint(0, 4)
+    uniform = rng.random() < 0.7
+    forms = rng.choice([["sorted"], ["sorted"], ["sorted", "list"], list(_EDGE_FORMS)])
+    specs = []
+    for _ in range(rng.choice([0, *range(1, 8)])):
+        size = k if uniform else rng.randint(0, 4)
+        form = rng.choice(forms)
+        if form == "range":
+            start = rng.randint(0, max(n - size, 0))
+            verts = list(range(start, start + size))
+        elif size <= n:
+            verts = rng.sample(range(n), size)
+        else:
+            verts = [rng.randrange(max(n, 1)) for _ in range(size)]
+        specs.append((form, verts))
+    if specs and rng.random() < 0.25:
+        _, verts = specs[rng.choice([0, -1])]
+        if verts:
+            verts[rng.randrange(len(verts))] = rng.choice([-1, n, n + 3])
+    if specs and rng.random() < 0.3:
+        specs.insert(rng.randint(0, len(specs)), (rng.choice(forms), list(rng.choice(specs)[1])))
+    r = rng.choice([None, k, k, rng.randint(0, 4)])
+    return n, specs, r, rng.random() < 0.5
+
+
+def test_construction_matches_the_reference_canonicalisation():
+    def outcome(build, n, specs, r, multi):
+        try:
+            return build(n, [_EDGE_FORMS[form](verts) for form, verts in specs], r, multi)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(4000):
+        args = _carrier_input(rng)
+        got = outcome(lambda *a: Hypergraph(*a).edges, *args)
+        assert got == outcome(reference_edges, *args), args
+        if isinstance(got, tuple):
+            specs = args[1]
+            given_sorted = len({len(v) for _, v in specs}) == 1 and all(
+                f in ("sorted", "range") and len(set(v)) == len(v) for f, v in specs
+            )
+            seen["kept as given" if given_sorted else "canonicalised"] += 1
+        else:
+            seen[re.sub(r"edge \(.*\)|-?\d+", "", got)] += 1
+    # every branch of the constructor and every error is exercised
+    assert len(seen) == 6 and min(seen.values()) >= 100, seen
 
 
 def test_json_round_trip(t3):

@@ -10,7 +10,9 @@ from helpers import (
     brute_kernel_degree,
     greedy_precondition,
     random_hypergraph,
+    random_multi_hypergraph,
     random_tree,
+    reference_embed,
 )
 from hgx import (
     BudgetExceeded,
@@ -94,6 +96,36 @@ def test_embed_matches_naive_search():
             continue
         expected = brute_embeds(pattern, host)
         assert embed(pattern, host).found == expected
+
+
+def test_embed_long_path_into_itself():
+    # the least candidate always fits, so each vertex costs one node
+    path = gen_standard("linear_path", m=200)
+    res = embed(path, path)
+    assert (res.status, res.nodes) == ("found", 401)
+
+
+def test_embed_matches_the_edge_by_edge_reference():
+    # mixed edge sizes keep the pattern off the matching packing.  An empty
+    # pattern edge needs a host with an empty edge, which avoids every used
+    # target, so the unmapped edges' shared check can prune only without one.
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(3, 7)
+        edges = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(2, 6))]
+        if rng.random() < 0.3:
+            edges.append([])
+        pattern = Hypergraph(n, edges, allow_multi=True)
+        if len({len(e) for e in pattern.distinct_edges}) < 2:
+            continue
+        sizes = [0, 1, 2, 3] if rng.random() < 0.3 else [1, 2, 3]
+        host = random_multi_hypergraph(rng, rng.randint(3, 8), sizes, rng.randint(2, 20))
+        budget = rng.choice([None, None, rng.randint(1, 10)])
+        res = embed(pattern, host, budget)
+        assert (res.status, res.map, res.nodes) == reference_embed(pattern, host, budget)
+        seen[res.status] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 3, seen
 
 
 def test_is_free_examples(c34, t3, k35):
