@@ -16,7 +16,7 @@ from typing import AbstractSet, Collection, Iterable, Mapping, Optional, Sequenc
 from .core import (
     BudgetExceeded, Edge, Hypergraph, _Budget, _infer_r, _pack_disjoint, kernel_degree
 )
-from .trees import TreeCertificate, _assert_valid, _is_tight
+from .trees import TreeCertificate, _check, _steps
 
 FOUND = "found"
 NONE = "none"
@@ -103,11 +103,8 @@ def _backtrack_embed(
             parts = [frozenset(assignment[u] for u in e if u in assignment) for e in h_edges]
             if not all(
                 p in f_set if len(p) == len(e) else next(host.extensions(p, used), None) is not None
-                for p, e in zip(parts, h_edges) if p or not e
-            ) or (
-                any(e and not p for p, e in zip(parts, h_edges))
-                and not any(map(used.isdisjoint, host.distinct_edges))
-            ):
+                for p, e in zip(parts, h_edges) if p
+            ) or (not all(parts) and not any(map(used.isdisjoint, host.distinct_edges))):
                 continue
             if len(assignment) == len(h_support):
                 return dict(assignment)
@@ -245,16 +242,14 @@ def greedy_tree_embed(
     r = tree.require_uniform()
     if r < 2 or host.uniform_r != r:
         raise ValueError("host and tree must share the same uniformity (r >= 2)")
-    _assert_valid(tree, cert)
-    if not _is_tight(tree, cert.order, cert.parent):
+    if not _check(tree, cert.order, cert.parent):
         raise ValueError("greedy embedding requires a tight certificate")
     if not tree.m:
         raise ValueError("greedy embedding needs a tree with at least one edge")
     f_edges, support, floor = _host_read(host.edges, r)
     if floor < len(tree.support()) - r + 1:
         raise ValueError("host shadow degree too small for guaranteed embedding")
-    sets = tree.edge_sets
-    first = sets[cert.order[0]]
+    first = tree.edge_sets[cert.order[0]]
     amap = dict(start_map)
     if set(amap) != set(first):
         raise ValueError("starting map must cover exactly the first edge")
@@ -263,21 +258,18 @@ def greedy_tree_embed(
     if tuple(sorted(amap.values())) not in f_edges:
         raise ValueError("starting map must send the first edge onto a host edge")
     used = set(amap.values())
-    seen = set(first)
-    for i in range(1, tree.m):
-        e = sets[cert.order[i]]
-        fresh = e - seen
+    for _, e, _, overlap in _steps(tree, cert.order, cert.parent):
+        fresh = e - overlap
         assert len(fresh) == 1, "tight ordering adds one vertex per edge"
         u = next(iter(fresh))
-        overlap = [amap[v] for v in e - fresh]
+        image = [amap[v] for v in overlap]
         extension = next(
-            (w for w in support if w not in used and tuple(sorted([*overlap, w])) in f_edges),
+            (w for w in support if w not in used and tuple(sorted([*image, w])) in f_edges),
             None,
         )
         assert extension is not None, "degree precondition guarantees an extension"
         amap[u] = extension
         used.add(extension)
-        seen |= e
     _verify_map(tree.edges, f_edges, amap)
     return amap
 

@@ -8,6 +8,7 @@ the first edge pinned (Beeri, Fagin, Maier & Yannakakis 1983).  Every
 tree ordering of a tight tree is tight, so tight recognition is the
 same ear removal plus a check of the certificate's ``tight`` flag.
 All transformation outputs are re-verified before they are returned.
+Every certificate is read through ``_steps`` and checked by ``_check``.
 
 Certificate positions are 0-based: ``order`` is a permutation of edge
 indices and ``parent`` maps every position ``i >= 1`` to a position
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import Edge, Hypergraph, _infer_r, remove
 from .covers import is_crosscut
@@ -39,38 +40,58 @@ class TreeCertificate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TreeCertificate":
+        """Inverse of ``to_json_obj``; malformed JSON raises ValueError."""
         try:
-            order = tuple(int(i) for i in obj["order"])
-            parent = {int(k): int(v) for k, v in obj["parent"].items()}
-            tight = bool(obj["tight"])
-        except (KeyError, TypeError, ValueError) as exc:
+            order, parent, tight = obj["order"], obj["parent"], obj["tight"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
-        return cls(order, parent, tight)
+        if not isinstance(order, list) or not all(type(i) is int for i in order):
+            raise ValueError("field 'order' must be a list of integers")
+        if not isinstance(parent, dict) or not all(
+            isinstance(k, str) and k.removeprefix("-").isdecimal() and type(v) is int
+            for k, v in parent.items()
+        ):
+            raise ValueError("field 'parent' must map integer strings to integers")
+        if not isinstance(tight, bool):
+            raise ValueError("field 'tight' must be a boolean")
+        return cls(tuple(order), {int(k): v for k, v in parent.items()}, tight)
 
 
-def _check_shape(hg: Hypergraph, cert: TreeCertificate) -> None:
-    m = hg.m
-    if sorted(cert.order) != list(range(m)):
+def _check_shape(hg: Hypergraph, order: Sequence[int], parent: Mapping[int, int]) -> None:
+    if sorted(order) != list(range(hg.m)):
         raise ValueError("certificate order is not a permutation of the edges")
-    if set(cert.parent) != set(range(1, m)):
+    if set(parent) != set(range(1, hg.m)):
         raise ValueError("certificate parent map must cover positions 1..m-1")
-    for i, p in cert.parent.items():
+    for i, p in parent.items():
         if not 0 <= p < i:
             raise ValueError(f"parent of position {i} must be an earlier position")
 
 
-def _is_tight(hg: Hypergraph, order: Sequence[int], parent: Mapping[int, int]) -> bool:
-    # the edge size comes from the edges, so the answer does not depend
-    # on whether ``uniform_r`` was declared
+def _steps(
+    hg: Hypergraph, order: Sequence[int], parent: Mapping[int, int]
+) -> Iterator[tuple[int, frozenset[int], frozenset[int], frozenset[int]]]:
+    """``(i, edge, parent's edge, overlap with all earlier edges)`` at every
+    position ``i >= 1``; checks nothing, so a well-shaped certificate never raises."""
     sets = hg.edge_sets
-    r = _infer_r(sets)
-    if r is None:
-        return not sets
-    order = list(order)
-    return all(
-        len(sets[order[i]] & sets[order[parent[i]]]) == r - 1
-        for i in range(1, len(order))
-    )
+    seen = set(sets[order[0]]) if order else set()
+    for i in range(1, len(order)):
+        e = sets[order[i]]
+        yield i, e, sets[order[parent[i]]], e & seen
+        seen |= e
+
+
+def _check(hg: Hypergraph, order: Sequence[int], parent: Mapping[int, int]) -> bool:
+    """The ``tight`` flag, from the pass that raises ValueError unless
+    ``(order, parent)`` certifies ``hg``.  r comes from the edges; a valid
+    overlap lies in the earlier parent edge, so it equals ``e & pe``."""
+    _check_shape(hg, order, parent)
+    r = _infer_r(hg.edge_sets)
+    tight = r is not None or not hg.m
+    for _, _, pe, overlap in _steps(hg, order, parent):
+        if not overlap <= pe:
+            raise ValueError("invalid tree certificate")
+        tight = tight and len(overlap) == r - 1
+    return tight
 
 
 def verify_certificate(hg: Hypergraph, cert: TreeCertificate) -> tuple[bool, dict]:
@@ -81,51 +102,27 @@ def verify_certificate(hg: Hypergraph, cert: TreeCertificate) -> tuple[bool, dic
     parent-only vertices; those facts must hold whenever the certificate
     is valid.
     """
-    _check_shape(hg, cert)
-    sets = hg.edge_sets
-    seen: set[int] = set()
-    valid = True
+    _check_shape(hg, cert.order, cert.parent)
     positions = []
-    for i, oi in enumerate(cert.order):
-        e = sets[oi]
-        if i == 0:
-            seen |= e
-            continue
-        pe = sets[cert.order[cert.parent[i]]]
-        holds = (e & seen) <= pe
-        valid = valid and holds
+    for i, e, pe, overlap in _steps(hg, cert.order, cert.parent):
         new_vertices = sorted(e - pe)
-        first_edge_ok = {str(x): x not in seen for x in new_vertices}
-        separation_ok = {
-            f"{x},{y}": not any(x in s and y in s for s in sets)
-            for x in new_vertices
-            for y in sorted(pe - e)
-        }
         positions.append(
             {
                 "position": i,
                 "edge": sorted(e),
                 "parent": cert.parent[i],
-                "holds": holds,
+                "holds": overlap <= pe,
                 "new_vertices": new_vertices,
-                "first_edge_ok": first_edge_ok,
-                "separation_ok": separation_ok,
+                "first_edge_ok": {str(x): x not in overlap for x in new_vertices},
+                "separation_ok": {
+                    f"{x},{y}": not any(x in s and y in s for s in hg.edge_sets)
+                    for x in new_vertices
+                    for y in sorted(pe - e)
+                },
             }
         )
-        seen |= e
+    valid = all(p["holds"] for p in positions)
     return valid, {"valid": valid, "positions": positions}
-
-
-def _assert_valid(hg: Hypergraph, cert: TreeCertificate) -> None:
-    """Raise ValueError unless ``cert`` certifies ``hg``; builds no report."""
-    _check_shape(hg, cert)
-    sets = hg.edge_sets
-    seen: set[int] = set()
-    for i, oi in enumerate(cert.order):
-        e = sets[oi]
-        if i and not (e & seen) <= sets[cert.order[cert.parent[i]]]:
-            raise ValueError("invalid tree certificate")
-        seen |= e
 
 
 def _certified(
@@ -133,9 +130,8 @@ def _certified(
 ) -> TreeCertificate:
     """The certificate ``(order, parent)`` of ``hg``, with its computed
     ``tight`` flag; raises ValueError unless it is valid."""
-    cert = TreeCertificate(tuple(order), dict(parent), tight=_is_tight(hg, order, parent))
-    _assert_valid(hg, cert)
-    return cert
+    order, parent = tuple(order), dict(parent)
+    return TreeCertificate(order, parent, _check(hg, order, parent))
 
 
 def _in_order(
@@ -218,7 +214,7 @@ def find_tree_ordering(
     least one new vertex, or it would lie inside its parent; so each
     adds exactly one, and its r-1 old vertices lie in its parent.
     Repeated edges or mixed edge sizes admit no tight ordering, and
-    ``_is_tight`` says so.
+    ``_check`` says so.
     """
     if root is not None and not 0 <= root < hg.m:
         raise ValueError("root edge index out of range")
@@ -253,39 +249,31 @@ def tighten(hg: Hypergraph, cert: TreeCertificate) -> tuple[Hypergraph, TreeCert
     chain edge is new.
     """
     r = hg.require_uniform()
-    _assert_valid(hg, cert)
+    _check(hg, cert.order, cert.parent)
     if hg.m == 0:
         return hg, cert
-    sets = hg.edge_sets
-    first = sets[cert.order[0]]
+    first = hg.edge_sets[cert.order[0]]
     new_edges: list[Edge] = [tuple(sorted(first))]
     pos_of: dict[frozenset[int], int] = {first: 0}
     parent: dict[int, int] = {}
-    union = set(first)
-    for i in range(1, hg.m):
-        e = sets[cert.order[i]]
-        pe = sets[cert.order[cert.parent[i]]]
-        overlap = e & union
-        news = sorted(e - overlap)
-        olds = sorted(pe - overlap)
+    for _, e, pe, overlap in _steps(hg, cert.order, cert.parent):
         prev_pos = pos_of[pe]
         cur = set(pe)
-        for t, v in enumerate(news):
-            cur.discard(olds[t])
+        for old, v in zip(sorted(pe - overlap), sorted(e - overlap)):
+            cur.discard(old)
             cur.add(v)
-            # cur holds news[0..t], all outside union: edges of earlier
-            # chains lie inside union and earlier links lack news[t], so
-            # no edge repeats
+            # cur holds the new vertices swapped in so far, all outside the
+            # earlier edges: edges of earlier chains lie inside them and
+            # earlier links lack v, so no edge repeats
             fs = frozenset(cur)
             pos = len(new_edges)
             new_edges.append(tuple(sorted(fs)))
             pos_of[fs] = pos
             parent[pos] = prev_pos
             prev_pos = pos
-        union |= e
     out, cert_out = _in_order(Hypergraph(hg.n, new_edges, uniform_r=r), parent)
     assert cert_out.tight
-    assert all(s in pos_of for s in sets)
+    assert all(s in pos_of for s in hg.edge_sets)
     return out, cert_out
 
 
@@ -300,7 +288,7 @@ def r_partition(hg: Hypergraph, cert: TreeCertificate) -> list[frozenset[int]]:
     up to permuting classes.
     """
     r = hg.require_uniform()
-    _assert_valid(hg, cert)
+    _check(hg, cert.order, cert.parent)
     colour: dict[int, int] = {}
     sets = hg.edge_sets
     if hg.m:
@@ -330,7 +318,7 @@ def compress(
     parent-only vertex there.  The same order and parent map certify the
     result; duplicate edges may arise and are retained.
     """
-    _assert_valid(hg, cert)
+    _check(hg, cert.order, cert.parent)
     if not 1 <= pos < hg.m:
         raise ValueError("compression position must have a parent")
     e = hg.edge_sets[cert.order[pos]]
@@ -366,7 +354,7 @@ def host_tree(
         raise ValueError("the hosted hypergraph must be a subgraph of the tree")
     if sub.m == 0:
         raise ValueError("hosting an empty hypergraph is undefined")
-    _assert_valid(tree, cert)
+    _check(tree, cert.order, cert.parent)
     root = tree.edges.index(sub.edges[0])
     rooted = find_tree_ordering(tree, root=root)
     assert rooted is not None, "a certified tree admits a rooted ordering"
@@ -376,10 +364,9 @@ def host_tree(
     classes = r_partition(tree, rooted) if tree.support() != target else []
     colour = {v: k for k, cl in enumerate(classes) for v in cl}
     image: dict[int, int] = {}
-    for pos in range(1, tree.m):
-        pe = sets[rooted.order[rooted.parent[pos]]]
+    for _, e, pe, _ in _steps(tree, rooted.order, rooted.parent):
         # outside sub, e - pe holds the edge's fresh vertices and ones already folded
-        for x in (sets[rooted.order[pos]] - pe - target).difference(image):
+        for x in (e - pe - target).difference(image):
             y = next(v for v in pe if colour[v] == colour[x])
             image[x] = image.get(y, y)
     folded = Hypergraph(tree.n, [[image.get(v, v) for v in e] for e in sets], allow_multi=True)
@@ -397,7 +384,7 @@ def subtree_at(
     hg: Hypergraph, cert: TreeCertificate, x: int
 ) -> tuple[Hypergraph, TreeCertificate]:
     """Edges through ``x`` in inherited order; inherited parents certify it."""
-    _assert_valid(hg, cert)
+    _check(hg, cert.order, cert.parent)
     if not 0 <= x < hg.n:
         raise ValueError(f"vertex {x} out of range")
     sets = hg.edge_sets
@@ -424,7 +411,7 @@ def detach_limb(
     its induced certificate, a starting edge of the limb and the edge of
     the rest meeting the limb in exactly their shared vertices.
     """
-    _assert_valid(hg, cert)
+    _check(hg, cert.order, cert.parent)
     s = frozenset(crosscut)
     if len(s) < 2:
         raise ValueError("limb detachment needs a cross-cut with at least 2 vertices")
@@ -461,7 +448,7 @@ def trace_certified(
     copies; an edge whose traced parent vanished became disjoint from all
     of its predecessors, so any earlier edge may serve as its parent.
     """
-    _assert_valid(hg, cert)
+    _check(hg, cert.order, cert.parent)
     keep_set = frozenset(keep)
     sets = hg.edge_sets
     new_edges: list[Edge] = []
@@ -508,7 +495,7 @@ def delete_crosscut(
     s = frozenset(crosscut)
     if not is_crosscut(sub, s):
         raise ValueError("the given set is not a cross-cut of the subgraph")
-    _assert_valid(tree, cert)
+    _check(tree, cert.order, cert.parent)
 
     deg = Counter(v for e in tree.edges for v in e)
     picks: set[int] = set()

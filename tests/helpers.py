@@ -439,3 +439,126 @@ def reference_embed(
             least.setdefault(twins[w], w)
         stack.extend((len(placed), ((v, w),)) for w in reversed(least.values()))
     return "none", None, nodes
+
+
+def _reference_shape(hg: Hypergraph, cert: TreeCertificate) -> None:
+    m = hg.m
+    if sorted(cert.order) != list(range(m)):
+        raise ValueError("certificate order is not a permutation of the edges")
+    if set(cert.parent) != set(range(1, m)):
+        raise ValueError("certificate parent map must cover positions 1..m-1")
+    for i, p in cert.parent.items():
+        if not 0 <= p < i:
+            raise ValueError(f"parent of position {i} must be an earlier position")
+
+
+def reference_check(hg: Hypergraph, cert: TreeCertificate) -> bool:
+    """The certificate check in two passes: the shape, then the running
+    intersection edge by edge, then the ``tight`` flag from every edge's
+    intersection with its parent (r read off the edges).  Raises the
+    library's ``ValueError`` for the first failing check."""
+    _reference_shape(hg, cert)
+    sets = hg.edge_sets
+    seen: set[int] = set()
+    for i, oi in enumerate(cert.order):
+        e = sets[oi]
+        if i and not (e & seen) <= sets[cert.order[cert.parent[i]]]:
+            raise ValueError("invalid tree certificate")
+        seen |= e
+    sizes = {len(s) for s in sets}
+    if len(sizes) != 1:
+        return not sets
+    r = sizes.pop()
+    return all(
+        len(sets[cert.order[i]] & sets[cert.order[cert.parent[i]]]) == r - 1
+        for i in range(1, hg.m)
+    )
+
+
+def reference_verify_certificate(hg: Hypergraph, cert: TreeCertificate) -> tuple[bool, dict]:
+    """``verify_certificate``'s report built with its own running union."""
+    _reference_shape(hg, cert)
+    sets = hg.edge_sets
+    seen: set[int] = set()
+    valid = True
+    positions = []
+    for i, oi in enumerate(cert.order):
+        e = sets[oi]
+        if i == 0:
+            seen |= e
+            continue
+        pe = sets[cert.order[cert.parent[i]]]
+        holds = (e & seen) <= pe
+        valid = valid and holds
+        new_vertices = sorted(e - pe)
+        first_edge_ok = {str(x): x not in seen for x in new_vertices}
+        separation_ok = {
+            f"{x},{y}": not any(x in s and y in s for s in sets)
+            for x in new_vertices
+            for y in sorted(pe - e)
+        }
+        positions.append(
+            {
+                "position": i,
+                "edge": sorted(e),
+                "parent": cert.parent[i],
+                "holds": holds,
+                "new_vertices": new_vertices,
+                "first_edge_ok": first_edge_ok,
+                "separation_ok": separation_ok,
+            }
+        )
+        seen |= e
+    return valid, {"valid": valid, "positions": positions}
+
+
+def random_certificate_case(rng: random.Random) -> tuple[Hypergraph, TreeCertificate]:
+    """A seeded certificate to check, valid or not: a random tree with
+    r = 1..4 and, each by chance, repeated edges, an edge of another size,
+    a shuffled order, corrupted parents and a mis-shaped order or parent
+    map."""
+    tree, cert = random_tree(rng, rng.randint(1, 4), 7, tight=rng.random() < 0.3)
+    edges = [list(e) for e in tree.edges]  # random_tree lists edges in order
+    parent = dict(cert.parent)
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 2)):
+            parent[len(edges)] = k = rng.randrange(len(edges))
+            edges.append(list(edges[k]))
+    if rng.random() < 0.3:
+        parent[len(edges)] = k = rng.randrange(len(edges))
+        size = rng.randint(0, len(edges[k]) + 1)
+        kept = rng.sample(edges[k], min(size, len(edges[k])))
+        edges.append(kept + list(range(tree.n, tree.n + size - len(kept))))
+    hg = Hypergraph(tree.n + 2, edges, allow_multi=True)
+    m = len(edges)
+    order = list(range(m))
+    shuffle = rng.random()
+    if shuffle < 0.3:
+        # a random linear extension of the parent order keeps a valid tree valid
+        placed, ready = [], [0]
+        while ready:
+            placed.append(ready.pop(rng.randrange(len(ready))))
+            ready.extend(i for i, p in parent.items() if p == placed[-1])
+        order = placed
+        parent = {placed.index(i): placed.index(p) for i, p in parent.items()}
+    elif shuffle < 0.5:
+        order = rng.sample(range(m), m)
+        parent = {i: rng.randrange(i) for i in range(1, m)}
+    if m > 1 and rng.random() < 0.3:
+        for i in rng.sample(range(1, m), min(2, m - 1)):
+            parent[i] = rng.randrange(i)
+    shape = rng.randrange(20)
+    if shape == 0:
+        order.pop()
+    elif shape == 1 and m > 1:
+        order[rng.randrange(m)] = order[rng.randrange(m)]
+    elif shape == 2:
+        order[rng.randrange(m)] = m
+    elif shape == 3 and m > 1:
+        del parent[rng.randrange(1, m)]
+    elif shape == 4:
+        parent[m] = 0
+    elif shape == 5 and m > 1:
+        i = rng.randrange(1, m)
+        parent[i] = rng.choice([i, m, -1])
+    return hg, TreeCertificate(tuple(order), parent)

@@ -2,11 +2,18 @@ import gc
 import itertools
 import json
 import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
-from helpers import random_tree
+from helpers import (
+    random_certificate_case,
+    random_tree,
+    reference_check,
+    reference_verify_certificate,
+)
 from hgx import (
     Hypergraph,
     TreeCertificate,
@@ -25,6 +32,7 @@ from hgx import (
     trace_certified,
     verify_certificate,
 )
+from hgx.trees import _check
 
 
 def edge_set(hg):
@@ -200,6 +208,14 @@ def test_greedy_embed_rejects_invalid_certificate(t3):
     host = Hypergraph(8, list(itertools.combinations(range(8), 3)), uniform_r=3)
     with pytest.raises(ValueError, match="invalid tree certificate"):
         greedy_tree_embed(t3, BAD_T3, host, {0: 0, 1: 1, 2: 2})
+    # Validity comes before tightness.  On this loose path the second edge
+    # meets its parent in one vertex, not r - 1 = 2; with the third edge's
+    # parent moved to the first edge, the certificate is invalid as well.
+    path = Hypergraph(7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]], uniform_r=3)
+    with pytest.raises(ValueError, match="requires a tight certificate"):
+        greedy_tree_embed(path, TreeCertificate((0, 1, 2), {1: 0, 2: 1}), host, {0: 0, 1: 1, 2: 2})
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        greedy_tree_embed(path, TreeCertificate((0, 1, 2), {1: 0, 2: 0}), host, {0: 0, 1: 1, 2: 2})
 
 
 def test_certificate_json_round_trip(t3):
@@ -207,6 +223,52 @@ def test_certificate_json_round_trip(t3):
     blob = json.dumps(cert.to_json_obj())
     again = TreeCertificate.from_json_obj(json.loads(blob))
     assert again == cert
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"order": [0], "parent": [], "tight": False}, "field 'parent'"),
+        ({"order": [0, 1], "parent": {"1": 0}, "tight": "false"}, "field 'tight'"),
+        ({"order": "01", "parent": {"1": 0}, "tight": False}, "field 'order'"),
+        ({"order": 2, "parent": {"1": 0}, "tight": False}, "field 'order'"),
+        ({"order": [0, True], "parent": {"1": 0}, "tight": False}, "field 'order'"),
+        ({"order": [0, 1.0], "parent": {"1": 0}, "tight": False}, "field 'order'"),
+        ({"order": [0, 1], "parent": {"one": 0}, "tight": False}, "field 'parent'"),
+        ({"order": [0, 1], "parent": {"1": "0"}, "tight": False}, "field 'parent'"),
+        ({"order": [0, 1], "parent": {"1": False}, "tight": False}, "field 'parent'"),
+        ({"order": [0, 1], "parent": {"1": 0}, "tight": 0}, "field 'tight'"),
+        ({"order": [0, 1], "parent": {"1": 0}}, "malformed certificate JSON"),
+        ([0, 1], "malformed certificate JSON"),
+    ],
+)
+def test_certificate_json_rejects_malformed(obj, message):
+    with pytest.raises(ValueError, match=message):
+        TreeCertificate.from_json_obj(obj)
+
+
+def test_certificate_check_matches_the_two_pass_reference():
+    def outcome(check, hg, cert):
+        try:
+            return check(hg, cert)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(3000):
+        hg, cert = random_certificate_case(rng)
+        got = outcome(lambda h, c: _check(h, c.order, c.parent), hg, cert)
+        assert got == outcome(reference_check, hg, cert), cert
+        assert outcome(verify_certificate, hg, cert) == outcome(
+            reference_verify_certificate, hg, cert
+        ), cert
+        found = find_tree_ordering(hg)
+        if found is not None:
+            assert found.tight == reference_check(hg, found)
+        seen[got if isinstance(got, bool) else re.sub(r"\d+", "i", got)] += 1
+    # every outcome, shape errors included, comes up many times
+    assert len(seen) == 6 and min(seen.values()) >= 100, seen
 
 
 def test_linear_extensions_stay_valid():
