@@ -227,3 +227,13 @@ def test_oracle_answers_are_pinned():
     lines = _oracle_lines()
     assert len(lines) == 189
     assert _digest(lines) == "2932bf250b23ef6b9797eaad517249dc63494d44208724d312a8bf36c9a06696"
+
+
+def test_oracle_values_and_witnesses_are_pinned():
+    # the unbudgeted rows without their node counts: a change that only
+    # prunes the search keeps this pin and moves only the one above
+    rows = [json.loads(line) for line in _oracle_lines()]
+    lines = [json.dumps([name, n, value, witness, certified])
+             for name, n, label, value, witness, _, certified in rows if label is None]
+    assert len(lines) == 27
+    assert _digest(lines) == "d94a43db79358f4dde44769b1f2a06a656d08479b69091c9dc1072a4c98e670a"
