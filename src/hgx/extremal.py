@@ -6,19 +6,23 @@ asserted at generation time.  The oracle maximises an H-free family by
 include/exclude branch and bound over the colex-ordered edge universe.
 It lists every copy of the pattern in the complete r-graph once, then
 forward-checks on per-copy counters: an edge that would complete a copy
-is blocked, and each node is bounded by the edges still unblocked.
+is blocked, and each node is bounded by the edges still unblocked.  The
+search stops at the Katona-Nemetz-Simonovits bound, proven by the same
+oracle on one vertex fewer.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import logging
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import BudgetExceeded, Edge, Hypergraph, _Budget, degree, kernel_degree, shadow
 from .covers import sigma, tau
@@ -82,11 +86,15 @@ def _closed_form(pattern: Hypergraph, n: int, which: str, t: int) -> int:
     return (t - 1) * _comb(n - t + 1, r - 1)
 
 
-def _construction(pattern: Hypergraph, n: int, which: str) -> tuple[Hypergraph, int]:
+def _construction(
+    pattern: Hypergraph, n: int, which: str, t: Optional[int] = None
+) -> tuple[Hypergraph, int]:
     """``gen_S`` on a (tau-1)-set or ``gen_C`` on a (sigma-1)-set of [n]:
     the pattern-free lower-bound constructions of Props 3.1 and 3.2,
-    with their closed-form sizes, both from one tau or sigma."""
-    t = _parameter(pattern, which)
+    with their closed-form sizes, both from one tau or sigma (the
+    pattern's ``_parameter`` ``t``, computed unless given)."""
+    if t is None:
+        t = _parameter(pattern, which)
     family = (gen_S if which == "S" else gen_C)(n, pattern.uniform_r, min(t - 1, n))
     return family, _closed_form(pattern, n, which, t)
 
@@ -275,6 +283,8 @@ def _pattern_copies(
     itself, so only maps that send each class to increasing images are
     walked (Grochow & Kellis 2007); ``_copy_charge`` counts them.  Maps
     that still differ by an automorphism give the same copy, kept once.
+    The copies come ordered by their largest index, so those inside the
+    first C(k, r) edges, the universe of [k], are a prefix.
     """
     index = {e: i for i, e in enumerate(universe)}
     classes = _twin_classes(pattern)
@@ -284,7 +294,7 @@ def _pattern_copies(
         tuple(sorted(index[frozenset(image[k] for k in e)] for e in edges))
         for image in _class_maps([len(c) for c in classes], range(n))
     }
-    return list(copies)
+    return sorted(copies, key=operator.itemgetter(-1))
 
 
 def _search(
@@ -361,15 +371,30 @@ def turan_oracle(
     the pattern in the complete r-graph is listed once before the search,
     which then forward-checks on per-copy counters (see ``_search``).
     The witness is the first maximum family in include-first colex
-    order; ``nodes`` counts search nodes.
+    order, or the seed when no family beats it.
+
+    The search stops at the Katona-Nemetz-Simonovits bound
+    U = floor(n * ex(n-1) / (n-r)) once U is known: ``_search`` yields
+    strictly growing families in a fixed order, so the first one of size
+    U is the first maximum, and a seed of size U is returned unsearched.
+    ex(n-1) comes from the same oracle on the first C(n-1, r) edges of
+    the universe, with the copies that lie inside them, and level n-1
+    bounds itself the same way; the chain is at most n-r levels deep and
+    is kept on an explicit stack.  A level asks for ex(k-1) only when its
+    bound could certify the level's best b, that is when
+    floor(k * low / (k-r)) <= b for the best known lower bound ``low`` on
+    ex(k-1): the larger closed-form seed on k-1 vertices, or b minus the
+    least vertex degree of the best family (deleting that vertex leaves a
+    free family on k-1 vertices).  While the gate is closed U > b, so the
+    gate decides only when U is computed, never the answer.
 
     One ``budget`` is charged P(n, |support|) / prod |class|! steps for
     the copy list (one per map it walks: injective maps of the pattern's
     support that send each twin class to increasing images), then one per
-    search node.
+    search node at every level; ``nodes`` sums the search nodes.
     Running out in the copy list returns the seed with ``certified=False``
-    and ``nodes`` 0; running out in the search returns the best family so
-    far, also with ``certified=False``.
+    and ``nodes`` 0; running out in any search returns the best family
+    found at level n so far, also with ``certified=False``.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
@@ -378,29 +403,73 @@ def turan_oracle(
     if pattern.m == 0:
         raise ValueError("the empty pattern is contained in every hypergraph")
 
-    seeds = []
+    params = {}  # tau for the S seed, sigma for the C seed, once per call
     if n >= r:
-        seeds.append(_construction(pattern, n, "S")[0])
+        params["S"] = _parameter(pattern, "S")
         with contextlib.suppress(ValueError):  # no C seed without a cross-cut
-            seeds.append(_construction(pattern, n, "C")[0])
-    seed = max(seeds, key=lambda g: g.m, default=Hypergraph(n, (), uniform_r=r))
-    if not is_free(seed, pattern):
-        raise RuntimeError("lower-bound seed contains the pattern; construction bug")
+            params["C"] = _parameter(pattern, "C")
 
-    best_edges: Sequence[Iterable[int]] = seed.edges
+    def seed_on(k: int) -> Hypergraph:
+        seeds = [_construction(pattern, k, which, t)[0] for which, t in params.items()] if k >= r else []
+        seed = max(seeds, key=lambda g: g.m, default=Hypergraph(k, (), uniform_r=r))
+        if not is_free(seed, pattern):
+            raise RuntimeError("lower-bound seed contains the pattern; construction bug")
+        return seed
+
+    def gate(k: int, best: int, family: Sequence[Iterable[int]]) -> bool:
+        deg = Counter(v for e in family for v in e)
+        low = max([best - min(deg[v] for v in range(k))]
+                  + [_closed_form(pattern, k - 1, which, t) for which, t in params.items()])
+        return k * low // (k - r) <= best
+
+    def level(k: int, seed: Hypergraph) -> Generator[int, int, int]:
+        """Level k's search: yields k - 1 to ask for ex(k-1), which is sent
+        back, and returns ex(k).  Level n keeps its best family in ``top``."""
+        nonlocal top
+        best, family, bound = seed.m, seed.edge_sets, None
+        search = None
+        while best != bound:
+            if bound is None and k > r and gate(k, best, family):
+                bound = k * (yield k - 1) // (k - r)
+                assert bound >= best, "Katona-Nemetz-Simonovits bound below a free family"
+                continue
+            if search is None:
+                total = _comb(k, r)
+                inside = bisect.bisect_left(copies, total, key=operator.itemgetter(-1))
+                search = _search(total, copies[:inside], best, tracker)
+            step = next(search, None)
+            if step is None:
+                break
+            best, family = len(step), [universe[i] for i in step]
+            if k == n:
+                top = step
+        return best
+
+    seed = seed_on(n)
+    top: Optional[list[int]] = None
     build = _copy_charge(pattern, n)
     tracker = _Budget(budget)
     try:
         tracker.tick(build)
         universe = _colex_universe(n, r)
         copies = _pattern_copies(pattern, n, universe)
-        for found in _search(len(universe), copies, seed.m, tracker):
-            best_edges = [universe[i] for i in found]
+        chain = [level(n, seed)]
+        reply = None
+        while chain:
+            try:
+                k = chain[-1].send(reply)
+            except StopIteration as done:
+                chain.pop()
+                reply = done.value
+            else:
+                chain.append(level(k, seed_on(k)))
+                reply = None
         certified = True
     except BudgetExceeded:
         certified = False
     nodes = max(tracker.nodes - build, 0)  # search nodes only, not the copy list's steps
 
+    best_edges = seed.edges if top is None else [universe[i] for i in top]
     best = len(best_edges)
     witness = Hypergraph(n, sorted(tuple(sorted(e)) for e in best_edges), uniform_r=r)
     if certified:

@@ -103,6 +103,7 @@ def verify_certificate(hg: Hypergraph, cert: TreeCertificate) -> tuple[bool, dic
     is valid.
     """
     _check_shape(hg, cert.order, cert.parent)
+    edges_of = {v: set(ix) for v, ix in hg.incidence.items()}
     positions = []
     for i, e, pe, overlap in _steps(hg, cert.order, cert.parent):
         new_vertices = sorted(e - pe)
@@ -115,7 +116,7 @@ def verify_certificate(hg: Hypergraph, cert: TreeCertificate) -> tuple[bool, dic
                 "new_vertices": new_vertices,
                 "first_edge_ok": {str(x): x not in overlap for x in new_vertices},
                 "separation_ok": {
-                    f"{x},{y}": not any(x in s and y in s for s in hg.edge_sets)
+                    f"{x},{y}": edges_of[x].isdisjoint(edges_of[y])
                     for x in new_vertices
                     for y in sorted(pe - e)
                 },

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, Optional
 
 from hgx import (
@@ -562,3 +562,25 @@ def random_certificate_case(rng: random.Random) -> tuple[Hypergraph, TreeCertifi
         i = rng.randrange(1, m)
         parent[i] = rng.choice([i, m, -1])
     return hg, TreeCertificate(tuple(order), parent)
+
+
+def reference_turan(n: int, r: int, pattern: Hypergraph) -> tuple[int, Hypergraph, int]:
+    """The oracle without its upper-bound stop, (value, witness, nodes):
+    the seed, then the whole include-first colex search on the library's
+    copy list, keeping the last family it yields."""
+    from hgx.extremal import _colex_universe, _construction, _pattern_copies, _search
+    from hgx.core import _Budget
+
+    seeds = []
+    if n >= r:
+        seeds.append(_construction(pattern, n, "S")[0])
+        with suppress(ValueError):  # no C seed without a cross-cut
+            seeds.append(_construction(pattern, n, "C")[0])
+    seed = max(seeds, key=lambda g: g.m, default=Hypergraph(n, (), uniform_r=r))
+    best_edges: Iterable[Iterable[int]] = seed.edges
+    universe = _colex_universe(n, r)
+    tracker = _Budget(None)
+    for found in _search(len(universe), _pattern_copies(pattern, n, universe), seed.m, tracker):
+        best_edges = [universe[i] for i in found]
+    witness = Hypergraph(n, sorted(tuple(sorted(e)) for e in best_edges), uniform_r=r)
+    return witness.m, witness, tracker.nodes

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import brute_twins, copy_hypergraph, random_hypergraph
+from helpers import brute_turan, brute_twins, copy_hypergraph, random_hypergraph, reference_turan
 from hgx import (
     BudgetExceeded,
     Hypergraph,
@@ -145,7 +145,7 @@ def test_oracle_matching(m2):
 def test_oracle_triangle(triangle):
     res = turan_oracle(5, 2, triangle)
     assert res.value == 6 and res.certified
-    assert res.nodes == 128
+    assert res.nodes == 23  # 6 = floor(5 * 4 / 3) stops the search
 
 
 def test_oracle_triples_sharing_a_pair():
@@ -154,7 +154,7 @@ def test_oracle_triples_sharing_a_pair():
     pair = Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3)
     res = turan_oracle(6, 3, pair)
     assert res.value == 4 and res.certified
-    assert res.nodes == 314
+    assert res.nodes == 36  # 4 = floor(6 * 2 / 3) stops the search
     assert is_free(res.witness, pair)
 
 
@@ -298,6 +298,37 @@ def test_oracle_matches_exhaustive_scan(m2, l32, triangle):
     ]
     for n, r, pattern in cases:
         assert turan_oracle(n, r, pattern).value == brute_turan(n, r, pattern), (n, r)
+
+
+def test_oracle_matches_the_plain_search_reference():
+    # the stop at the Katona-Nemetz-Simonovits bound changes no value,
+    # witness or flag; universes of up to 21 edges keep the plain search
+    # fast, and those of up to 10 are also scanned exhaustively
+    rng = random.Random(2024)
+    stopped = scanned = 0
+    for _ in range(60):
+        r = rng.choice([2, 3])
+        pattern = random_hypergraph(rng, rng.randint(r + 1, 2 * r + 1), r, rng.randint(2, 4))
+        for n in (n for n in range(r, 8) if math.comb(n, r) <= 21):
+            res = turan_oracle(n, r, pattern)
+            value, witness, nodes = reference_turan(n, r, pattern)
+            assert (res.value, res.witness, res.certified) == (value, witness, True), (pattern.edges, n)
+            stopped += res.nodes < nodes
+            if math.comb(n, r) <= 10:
+                assert value == brute_turan(n, r, pattern), (pattern.edges, n)
+                scanned += 1
+    assert stopped > 50 and scanned > 100
+
+
+def test_oracle_stops_at_the_kns_bound(m2, triangle):
+    # Mantel: ex(9, K3) = 20 = floor(9 * 16 / 7), proven by the chain of
+    # levels below 9 instead of the whole colex search
+    res = turan_oracle(9, 2, triangle)
+    assert res.value == 20 and res.certified and res.nodes < 1000
+    # the gate stays closed for single matchings: the plain search's counts
+    assert turan_oracle(7, 3, m2).nodes == 5828
+    assert turan_oracle(9, 2, Hypergraph(4, [[0, 1], [2, 3]], uniform_r=2)).nodes == 184
+    assert turan_oracle(10, 3, m2, budget=3_000_000).nodes == 76541
 
 
 def test_anchored_check_matches_exhaustive_scan():

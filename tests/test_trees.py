@@ -22,6 +22,7 @@ from hgx import (
     detach_limb,
     expand,
     find_tree_ordering,
+    gen_standard,
     host_tree,
     is_k_reducible,
     k_reduce,
@@ -269,6 +270,16 @@ def test_certificate_check_matches_the_two_pass_reference():
         seen[got if isinstance(got, bool) else re.sub(r"\d+", "i", got)] += 1
     # every outcome, shape errors included, comes up many times
     assert len(seen) == 6 and min(seen.values()) >= 100, seen
+
+
+def test_certificate_report_on_a_long_path_matches_the_reference():
+    # every position has fresh and parent-only vertices, so every report
+    # has separation pairs to answer
+    hg = gen_standard("linear_path", m=400)
+    cert = find_tree_ordering(hg)
+    report = verify_certificate(hg, cert)
+    assert report == reference_verify_certificate(hg, cert)
+    assert sum(len(p["separation_ok"]) for p in report[1]["positions"]) >= 399
 
 
 def test_linear_extensions_stay_valid():
