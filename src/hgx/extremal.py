@@ -409,8 +409,8 @@ def turan_oracle(
         with contextlib.suppress(ValueError):  # no C seed without a cross-cut
             params["C"] = _parameter(pattern, "C")
 
-    def seed_on(k: int) -> Hypergraph:
-        seeds = [_construction(pattern, k, which, t)[0] for which, t in params.items()] if k >= r else []
+    def seed_on(k: int) -> Hypergraph:  # k < r only when n < r, with no params
+        seeds = [_construction(pattern, k, which, t)[0] for which, t in params.items()]
         seed = max(seeds, key=lambda g: g.m, default=Hypergraph(k, (), uniform_r=r))
         if not is_free(seed, pattern):
             raise RuntimeError("lower-bound seed contains the pattern; construction bug")
