@@ -19,10 +19,15 @@ from helpers import brute_twins, random_hypergraph, random_multi_hypergraph, ran
 from hgx import (
     Hypergraph,
     contains_anchored,
+    delete_crosscut,
+    detach_limb,
     embed,
     find_tree_ordering,
     host_tree,
     r_partition,
+    remove_certified,
+    sigma,
+    subtree_at,
     tighten,
     trace_certified,
     turan_oracle,
@@ -117,6 +122,52 @@ def _tree_lines() -> tuple[list[str], list[str]]:
     return lines, tight_lines
 
 
+def _limb_json(got) -> str:
+    limb, rest = _pair_json((got.limb, got.limb_cert)), _pair_json((got.rest, got.rest_cert))
+    return json.dumps([got.w, limb, rest, got.limb_edge, got.anchor_edge])
+
+
+def _transform_lines() -> tuple[list[str], Counter]:
+    """Every answer of ``subtree_at``, ``remove_certified``, ``host_tree``,
+    ``detach_limb`` and ``delete_crosscut`` over seeded random trees, the
+    ValueError message where one is raised, and a tally of the cases that
+    the composed transforms take apart."""
+    rng = random.Random(28)
+    lines: list[str] = []
+    seen: Counter = Counter()
+
+    def record(show, fn, *args) -> None:
+        try:
+            lines.append(show(fn(*args)))
+        except ValueError as exc:
+            lines.append(json.dumps(["ValueError", str(exc)]))
+            seen[str(exc)] += 1
+
+    for k in range(160):
+        kind = k % 4
+        if kind < 2:
+            tree, cert = random_tree(rng, rng.randint(1, 4), 6, tight=kind == 1)
+        else:
+            base = random_tree(rng, rng.randint(1, 4), 6)[0] if kind == 2 else _mixed_tree(rng, 6)
+            tree = _relabel(rng, base, extra=rng.randint(0, 2))
+            cert = find_tree_ordering(tree)
+        record(_pair_json, subtree_at, tree, cert, rng.randrange(tree.n))
+        record(_pair_json, remove_certified, tree, cert, rng.sample(range(tree.n), rng.randint(0, tree.n)))
+        _, cut = sigma(tree)
+        record(_limb_json, detach_limb, tree, cert, cut.vertices if cut else ())
+        sub_edges = rng.sample(tree.edges, rng.randint(1, tree.m))
+        sub = Hypergraph(tree.n, sub_edges, uniform_r=tree.uniform_r, allow_multi=True)
+        seen["several folds"] += len(tree.support() - sub.support()) > 1
+        record(_pair_json, host_tree, sub, tree, cert)
+        _, cut = sigma(sub)
+        cut = cut.vertices if cut else frozenset()
+        seen["empty remainder"] += bool(cut) and all(e <= cut for e in sub.edge_sets)
+        record(_pair_json, delete_crosscut, sub, tree, cert, cut)
+        if tree.uniform_r is not None:
+            record(_pair_json, delete_crosscut, sub, *tighten(tree, cert), cut)
+    return lines, seen
+
+
 # Budgeted pairs of the embed corpus whose search runs out without the
 # twin skip in ``_backtrack_embed`` -> their status with it: six now finish.
 RAN_OUT_WITHOUT_TWINS = {
@@ -184,6 +235,15 @@ def test_tree_certificates_and_transforms_are_pinned():
     lines, _ = _tree_lines()
     assert len(lines) == 2062
     assert _digest(lines) == "683a810477f050755167de6264f84c61ecae6ac18e2b981f62364eabda68560f"
+
+
+def test_tree_transforms_are_pinned():
+    lines, seen = _transform_lines()
+    assert seen["several folds"] >= 40
+    assert seen["empty remainder"] >= 5
+    assert seen["a tree edge disjoint from the cross-cut has no degree-1 vertex"] >= 5
+    assert len(lines) == 920
+    assert _digest(lines) == "83d781e78e13cea9a009577b35e1c166281544faef5e455bdcf1fdbb7fd0b8f9"
 
 
 def test_tight_mode_certificates_are_pinned():
