@@ -267,7 +267,7 @@ def _class_maps(sizes: Sequence[int], free: Sequence[int]) -> Iterator[tuple[int
         yield ()
         return
     for pick in itertools.combinations(free, sizes[0]):
-        rest = [w for w in free if w not in pick]
+        rest = [w for w in free if w not in pick] if sizes[1:] else ()
         for tail in _class_maps(sizes[1:], rest):
             yield pick + tail
 

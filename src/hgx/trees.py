@@ -7,8 +7,8 @@ removal, which is polynomial and cannot get stuck on a tree, even with
 the first edge pinned (Beeri, Fagin, Maier & Yannakakis 1983).  Every
 tree ordering of a tight tree is tight, so tight recognition is the
 same ear removal plus a check of the certificate's ``tight`` flag.
-All transformation outputs are re-verified before they are returned.
-Every certificate is read through ``_steps`` and checked by ``_check``.
+Every certificate is read through ``_steps`` and checked by ``_check``
+once per public call: inputs at the boundary, outputs when built.
 
 Certificate positions are 0-based: ``order`` is a permutation of edge
 indices and ``parent`` maps every position ``i >= 1`` to a position
@@ -290,13 +290,19 @@ def r_partition(hg: Hypergraph, cert: TreeCertificate) -> list[frozenset[int]]:
     """
     r = hg.require_uniform()
     _check(hg, cert.order, cert.parent)
+    colour = _colouring(hg, cert.order, r)
+    return [frozenset(v for v, c in colour.items() if c == k) for k in range(r)]
+
+
+def _colouring(hg: Hypergraph, order: Sequence[int], r: int) -> dict[int, int]:
+    """``r_partition``'s vertex -> colour map, for a certified ``order``."""
     colour: dict[int, int] = {}
     sets = hg.edge_sets
     if hg.m:
-        for c, v in enumerate(sorted(sets[cert.order[0]])):
+        for c, v in enumerate(sorted(sets[order[0]])):
             colour[v] = c
     for i in range(1, hg.m):
-        e = sets[cert.order[i]]
+        e = sets[order[i]]
         used = {colour[v] for v in e if v in colour}
         fresh = sorted(v for v in e if v not in colour)
         missing = sorted(set(range(r)) - used)
@@ -304,7 +310,7 @@ def r_partition(hg: Hypergraph, cert: TreeCertificate) -> list[frozenset[int]]:
         assert len(missing) == len(fresh)
         for v, c in zip(fresh, missing):
             colour[v] = c
-    return [frozenset(v for v, c in colour.items() if c == k) for k in range(r)]
+    return colour
 
 
 # -- compression and hosting --------------------------------------------------
@@ -356,14 +362,19 @@ def host_tree(
     if sub.m == 0:
         raise ValueError("hosting an empty hypergraph is undefined")
     _check(tree, cert.order, cert.parent)
+    return _host(sub, tree)
+
+
+def _host(sub: Hypergraph, tree: Hypergraph) -> tuple[Hypergraph, TreeCertificate]:
+    """``host_tree`` for a subgraph ``sub`` of a tree, with no input checks."""
     root = tree.edges.index(sub.edges[0])
     rooted = find_tree_ordering(tree, root=root)
     assert rooted is not None, "a certified tree admits a rooted ordering"
     target, sets = sub.support(), tree.edge_sets
     assert sets[root] <= target, "the root edge lies inside the hosted subgraph"
     # a tree with nothing to fold need not be uniform
-    classes = r_partition(tree, rooted) if tree.support() != target else []
-    colour = {v: k for k, cl in enumerate(classes) for v in cl}
+    folds = tree.support() != target
+    colour = _colouring(tree, rooted.order, tree.require_uniform()) if folds else {}
     image: dict[int, int] = {}
     for _, e, pe, _ in _steps(tree, rooted.order, rooted.parent):
         # outside sub, e - pe holds the edge's fresh vertices and ones already folded
@@ -371,7 +382,7 @@ def host_tree(
             y = next(v for v in pe if colour[v] == colour[x])
             image[x] = image.get(y, y)
     folded = Hypergraph(tree.n, [[image.get(v, v) for v in e] for e in sets], allow_multi=True)
-    out, out_cert = trace_certified(folded, rooted, range(tree.n))
+    out, out_cert = _in_order(*_trace(folded, rooted, range(tree.n)))
     assert out.support() == target
     out_sets = set(out.edge_sets)
     assert all(s in out_sets for s in sub.edge_sets)
@@ -425,10 +436,8 @@ def detach_limb(
         v: next(i for i in range(hg.m) if v in sets[cert.order[i]]) for v in s
     }
     w = max(s, key=lambda v: first_cover[v])
-    limb, limb_cert = subtree_at(hg, cert, w)
-    rest, rest_cert = _induced(
-        hg, cert, [i for i in range(hg.m) if w not in sets[cert.order[i]]]
-    )
+    limb, limb_cert = _induced(hg, cert, [i for i in range(hg.m) if w in sets[cert.order[i]]])
+    rest, rest_cert = _induced(hg, cert, [i for i in range(hg.m) if w not in sets[cert.order[i]]])
     k0 = first_cover[w]
     assert k0 >= 1, "a 2+ cross-cut cannot be covered entirely by the first edge"
     limb_edge = hg.edges[cert.order[k0]]
@@ -450,6 +459,13 @@ def trace_certified(
     of its predecessors, so any earlier edge may serve as its parent.
     """
     _check(hg, cert.order, cert.parent)
+    return _in_order(*_trace(hg, cert, keep))
+
+
+def _trace(
+    hg: Hypergraph, cert: TreeCertificate, keep: Iterable[int]
+) -> tuple[Hypergraph, dict[int, int]]:
+    """``trace_certified``'s trace and parent map, for a certified ``cert``."""
     keep_set = frozenset(keep)
     sets = hg.edge_sets
     new_edges: list[Edge] = []
@@ -466,8 +482,7 @@ def trace_certified(
             continue
         ps = sets[cert.order[cert.parent[i]]] & keep_set
         parent[p] = pos_of[ps] if ps and ps in pos_of else 0
-    out = Hypergraph(hg.n, new_edges, uniform_r=_infer_r(new_edges))
-    return _in_order(out, parent)
+    return Hypergraph(hg.n, new_edges, uniform_r=_infer_r(new_edges)), parent
 
 
 def remove_certified(
@@ -514,22 +529,15 @@ def delete_crosscut(
     if reduced.m == 0:
         return _in_order(Hypergraph(sub.n, (), uniform_r=r - 1), {})
 
-    traced, traced_cert = remove_certified(tree, cert, s | picks)
+    traced, _ = _trace(tree, cert, set(range(tree.n)) - s - picks)
     fresh = tree.n
     rounded_edges: list[list[int]] = []
     for e in traced.edges:
-        e2 = list(e)
-        while len(e2) < r - 1:
-            e2.append(fresh)
-            fresh += 1
-        rounded_edges.append(e2)
-    rounded, rounded_cert = _in_order(
-        Hypergraph(fresh, rounded_edges, uniform_r=r - 1), dict(traced_cert.parent)
-    )
-
-    hosted, hosted_cert = host_tree(reduced, rounded, rounded_cert)
-    out = Hypergraph(sub.n, hosted.edges, uniform_r=r - 1)
-    return out, hosted_cert
+        pad = r - 1 - len(e)
+        rounded_edges.append([*e, *range(fresh, fresh + pad)])
+        fresh += pad
+    hosted, hosted_cert = _host(reduced, Hypergraph(fresh, rounded_edges, uniform_r=r - 1))
+    return Hypergraph(sub.n, hosted.edges, uniform_r=r - 1), hosted_cert
 
 
 # -- reductions and expansions --------------------------------------------------------

@@ -255,6 +255,29 @@ def test_copy_charge_counts_the_maps_walked():
         assert all(len(set(m)) == len(m) == len(support) for m in maps)
 
 
+class _Walked:
+    """A sequence that counts how often it is walked."""
+
+    def __init__(self, items):
+        self.items, self.walks = list(items), 0
+
+    def __iter__(self):
+        self.walks += 1
+        return iter(self.items)
+
+
+def test_class_maps_copy_the_free_vertices_only_for_a_later_class():
+    # the last class reads no rest, so picking it costs one walk in all
+    free = _Walked(range(7))
+    assert list(_class_maps([3], free)) == list(itertools.combinations(range(7), 3))
+    assert free.walks == 1
+    free = _Walked(range(7))
+    maps = list(_class_maps([1, 2], free))
+    rests = {a: [w for w in range(7) if w != a] for a in range(7)}
+    assert maps == [(a, *pair) for a in range(7) for pair in itertools.combinations(rests[a], 2)]
+    assert free.walks == 1 + 7
+
+
 def test_pattern_copies_match_the_permutation_brute_force():
     for pattern, n in _random_patterns(43, 300):
         r = pattern.uniform_r

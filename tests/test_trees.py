@@ -16,6 +16,7 @@ from helpers import (
 )
 from hgx import (
     Hypergraph,
+    greedy_tree_embed,
     TreeCertificate,
     compress,
     delete_crosscut,
@@ -33,6 +34,7 @@ from hgx import (
     trace_certified,
     verify_certificate,
 )
+from hgx import embedding, trees
 from hgx.trees import _check
 
 
@@ -201,6 +203,52 @@ def test_transforms_reject_invalid_certificate(t3):
         compress(t3, BAD_T3, 1, 3, 0)
     with pytest.raises(ValueError, match="invalid tree certificate"):
         subtree_at(t3, BAD_T3, 2)
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        trace_certified(t3, BAD_T3, {1, 2, 3})
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        remove_certified(t3, BAD_T3, {2})
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        host_tree(t3, t3, BAD_T3)
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        detach_limb(t3, BAD_T3, {0, 3})
+    with pytest.raises(ValueError, match="invalid tree certificate"):
+        delete_crosscut(t3, t3, BAD_T3, {0, 3})
+
+
+def test_each_certificate_is_checked_once_per_call(monkeypatch, t3, m2):
+    # the input certificate once at the public boundary, and each
+    # returned or recognised certificate once, when it is built
+    calls = []
+
+    def counted(hg, order, parent):
+        calls.append(hg)
+        return _check(hg, order, parent)
+
+    def checks(fn, *args) -> int:
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    cert, m2_cert = find_tree_ordering(t3), find_tree_ordering(m2)
+    tight, tight_cert = tighten(m2, m2_cert)
+    path = Hypergraph(4, [[0, 1, 2], [1, 2, 3]], uniform_r=3)
+    single = Hypergraph(4, [[0, 1, 2]], uniform_r=3)
+    host = Hypergraph(6, list(itertools.combinations(range(6), 3)), uniform_r=3)
+    monkeypatch.setattr(trees, "_check", counted)
+    monkeypatch.setattr(embedding, "_check", counted)
+    assert checks(verify_certificate, t3, cert) == 0
+    assert checks(find_tree_ordering, t3) == 1
+    assert checks(r_partition, t3, cert) == 1
+    assert checks(greedy_tree_embed, t3, cert, host, {0: 0, 1: 1, 2: 2}) == 1
+    assert checks(trace_certified, t3, cert, {1, 2, 3}) == 2
+    assert checks(remove_certified, t3, cert, {2}) == 2
+    assert checks(subtree_at, t3, cert, 2) == 2
+    assert checks(tighten, m2, m2_cert) == 2
+    assert checks(compress, m2, m2_cert, 1, 3, 0) == 2
+    assert checks(detach_limb, m2, m2_cert, {0, 3}) == 3
+    assert checks(host_tree, t3, t3, cert) == 3  # nothing to fold
+    assert checks(host_tree, single, path, find_tree_ordering(path)) == 3
+    assert checks(delete_crosscut, m2, tight, tight_cert, {0, 3}) == 3
 
 
 def test_greedy_embed_rejects_invalid_certificate(t3):
