@@ -16,7 +16,6 @@ from helpers import (
 )
 from hgx import (
     Hypergraph,
-    greedy_tree_embed,
     TreeCertificate,
     compress,
     delete_crosscut,
@@ -24,6 +23,7 @@ from hgx import (
     expand,
     find_tree_ordering,
     gen_standard,
+    greedy_tree_embed,
     host_tree,
     is_k_reducible,
     k_reduce,
