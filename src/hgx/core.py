@@ -60,12 +60,12 @@ class Hypergraph:
         canon = tuple(map(tuple, edges))
         sizes = set(map(len, canon))
         cols = list(zip(*canon))
+        # strictly increasing edges are canonical as given; when all have one
+        # size, their least and greatest vertices sit in the end columns
         if len(sizes) == 1 and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:])):
-            # strictly increasing edges of one size are canonical as given;
-            # their least and greatest vertices sit in the end columns
             low, high = (min(cols[0]), max(cols[-1])) if cols else (0, -1)
         else:
-            canon = tuple([tuple(sorted(set(e))) for e in canon])
+            canon = tuple([e if all(map(operator.lt, e, e[1:])) else canonical_edge(e) for e in canon])
             sizes = set(map(len, canon))
             vertices = set().union(*canon)
             low, high = (min(vertices), max(vertices)) if vertices else (0, -1)
@@ -319,7 +319,7 @@ def _pack_disjoint(
     while stack:
         frame = stack[-1]
         j, used = frame
-        while j < size and used & petals[order[j]]:
+        while j < size and not used.isdisjoint(petals[order[j]]):
             j += 1
         if j == size or len(picked) + (size - j) <= len(best_pick):
             stack.pop()

@@ -43,8 +43,7 @@ def gen_S(n: int, r: int, t: int) -> Hypergraph:
     """All r-sets of [n] meeting {0..t-1}; size C(n,r) - C(n-t,r)."""
     if not (0 <= t <= n and 1 <= r <= n):
         raise ValueError("need 0 <= t <= n and 1 <= r <= n")
-    marked = set(range(t))
-    edges = [c for c in itertools.combinations(range(n), r) if marked & set(c)]
+    edges = [c for c in itertools.combinations(range(n), r) if c[0] < t]
     out = Hypergraph(n, edges, uniform_r=r)
     assert out.m == _comb(n, r) - _comb(n - t, r)
     return out
@@ -272,6 +271,21 @@ def _class_maps(sizes: Sequence[int], free: Sequence[int]) -> Iterator[tuple[int
             yield pick + tail
 
 
+class _EdgeIndex(dict):
+    """Universe index of an edge read off a map as a tuple (at r = 1 the
+    bare vertex ``itemgetter`` returns), in any order.  Each order is stored
+    on its first lookup: all r! orders of every edge, P(n, r) keys, would
+    outgrow the maps walked for a small pattern."""
+
+    def __init__(self, universe: Sequence[frozenset[int]]):
+        super().__init__()
+        self.by_set = {e: i for i, e in enumerate(universe)}
+
+    def __missing__(self, key: tuple[int, ...] | int) -> int:
+        i = self[key] = self.by_set[frozenset(key if isinstance(key, tuple) else (key,))]
+        return i
+
+
 def _pattern_copies(
     pattern: Hypergraph, n: int, universe: Sequence[frozenset[int]]
 ) -> list[tuple[int, ...]]:
@@ -279,6 +293,8 @@ def _pattern_copies(
 
     Each injective map of the pattern's support into range(n) gives a
     copy: the sorted tuple of the universe indices of its edge images.
+    Each edge image is one lookup: an ``itemgetter`` reads it off the map
+    as a tuple, and ``_EdgeIndex`` finds it in whatever order it comes.
     Permuting a twin class (``Hypergraph.twins``) maps the pattern onto
     itself, so only maps that send each class to increasing images are
     walked (Grochow & Kellis 2007); ``_copy_charge`` counts them.  Maps
@@ -286,12 +302,12 @@ def _pattern_copies(
     The copies come ordered by their largest index, so those inside the
     first C(k, r) edges, the universe of [k], are a prefix.
     """
-    index = {e: i for i, e in enumerate(universe)}
+    index = _EdgeIndex(universe)
     classes = _twin_classes(pattern)
     place = {v: k for k, v in enumerate(v for c in classes for v in c)}
-    edges = [[place[v] for v in e] for e in pattern.distinct_edges]
+    edges = [operator.itemgetter(*(place[v] for v in e)) for e in pattern.distinct_edges]
     copies = {
-        tuple(sorted(index[frozenset(image[k] for k in e)] for e in edges))
+        tuple(sorted(index[get(image)] for get in edges))
         for image in _class_maps([len(c) for c in classes], range(n))
     }
     return sorted(copies, key=operator.itemgetter(-1))

@@ -7,6 +7,7 @@ enumeration, so library results are checked against a second route.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import sys
 from contextlib import contextmanager, suppress
@@ -584,3 +585,63 @@ def reference_turan(n: int, r: int, pattern: Hypergraph) -> tuple[int, Hypergrap
         best_edges = [universe[i] for i in found]
     witness = Hypergraph(n, sorted(tuple(sorted(e)) for e in best_edges), uniform_r=r)
     return witness.m, witness, tracker.nodes
+
+
+def reference_pattern_copies(
+    pattern: Hypergraph, n: int, universe: list[frozenset[int]]
+) -> list[tuple[int, ...]]:
+    """The oracle's copy list through a frozenset-keyed index: each edge
+    image is built as a frozenset and looked up whole.  Same maps, same
+    walk order, same dedup and the same sort by last index as the
+    library."""
+    from hgx.extremal import _class_maps, _twin_classes
+
+    index = {e: i for i, e in enumerate(universe)}
+    classes = _twin_classes(pattern)
+    place = {v: k for k, v in enumerate(v for c in classes for v in c)}
+    edges = [[place[v] for v in e] for e in pattern.distinct_edges]
+    copies = {
+        tuple(sorted(index[frozenset(image[k] for k in e)] for e in edges))
+        for image in _class_maps([len(c) for c in classes], range(n))
+    }
+    return sorted(copies, key=operator.itemgetter(-1))
+
+
+def reference_pack_disjoint(petals, cap: int, budget=None) -> tuple[int, list[int]]:
+    """``_pack_disjoint``'s branch and bound with each disjointness test
+    made by building the intersection: same petal order, same nodes
+    ticked, same cap stop."""
+    order = sorted(range(len(petals)), key=lambda i: (len(petals[i]), sorted(petals[i])))
+    size = len(order)
+    best_pick: list[int] = []
+    picked: list[int] = []
+    stack = [[0, frozenset()]]
+    if budget is not None:
+        budget.tick()
+    while stack:
+        frame = stack[-1]
+        j, used = frame
+        while j < size and used & petals[order[j]]:
+            j += 1
+        if j == size or len(picked) + (size - j) <= len(best_pick):
+            stack.pop()
+            if picked:
+                picked.pop()
+            continue
+        frame[0] = j + 1
+        picked.append(order[j])
+        if budget is not None:
+            budget.tick()
+        if len(picked) > len(best_pick):
+            best_pick = list(picked)
+            if len(best_pick) >= cap:
+                break
+        stack.append([j + 1, used | petals[order[j]]])
+    return len(best_pick), best_pick
+
+
+def reference_s_edges(n: int, r: int, t: int) -> list[tuple[int, ...]]:
+    """The r-sets of [n] meeting {0..t-1}, filtered by set intersection,
+    in ``combinations`` order."""
+    marked = set(range(t))
+    return [c for c in itertools.combinations(range(n), r) if marked & set(c)]

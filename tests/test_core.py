@@ -16,6 +16,7 @@ from helpers import (
     random_hypergraph,
     random_multi_hypergraph,
     reference_edges,
+    reference_pack_disjoint,
     swap_preserves,
 )
 from hgx import (
@@ -38,6 +39,7 @@ from hgx import (
     shadow,
     trace,
 )
+from hgx.core import BudgetExceeded, _Budget, _pack_disjoint, canonical_edge
 
 
 def edge_set(hg):
@@ -147,6 +149,41 @@ def test_construction_matches_the_reference_canonicalisation():
             seen[re.sub(r"edge \(.*\)|-?\d+", "", got)] += 1
     # every branch of the constructor and every error is exercised
     assert len(seen) == 6 and min(seen.values()) >= 100, seen
+
+
+def test_mixed_size_edges_match_canonical_edge_and_keep_sorted_ones():
+    rng = random.Random(31)
+    errors = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        edges = []
+        for _ in range(rng.randint(2, 7)):
+            verts = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+            form = rng.choice(["sorted", "sorted", "unsorted", "repeated"])
+            if form == "sorted":
+                verts = sorted(set(verts))
+            elif form == "repeated" and verts:
+                verts.insert(rng.randrange(len(verts) + 1), rng.choice(verts))
+            edges.append(tuple(verts))
+        sizes = {len(canonical_edge(e)) for e in edges}
+        if len(sizes) == 1:  # one more size makes the input mixed
+            edges.append(tuple(range(min(k for k in range(5) if k not in sizes))))
+        if rng.random() < 0.15:
+            edges[rng.randrange(len(edges))] = (0, n)
+        multi = rng.random() < 0.5
+        try:
+            h = Hypergraph(n, edges, allow_multi=multi)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ref:
+                reference_edges(n, edges, allow_multi=multi)
+            assert str(exc) == str(ref.value), (n, edges)
+            errors[re.sub(r"edge \(.*\)|-?\d+", "", str(exc))] += 1
+            continue
+        assert h.edges == tuple(canonical_edge(e) for e in edges), (n, edges)
+        # a strictly increasing tuple is kept as the object given
+        assert all(got is e for got, e in zip(h.edges, edges) if got == e)
+        errors["built"] += 1
+    assert len(errors) == 3 and min(errors.values()) >= 100, errors
 
 
 def test_json_round_trip(t3):
@@ -340,6 +377,37 @@ def test_kernel_degree_vs_degree():
         assert kd <= degree(g, d)
         if degree(g, d) <= 1 and d not in set(g.edge_sets):
             assert kd == degree(g, d)
+
+
+def _pack_run(pack, petals, cap, limit):
+    """(size, picks, nodes) of a packing under a budget of ``limit``
+    nodes, or ("budget", nodes) when it runs out."""
+    budget = _Budget(limit)
+    try:
+        size, picks = pack(petals, cap, budget)
+    except BudgetExceeded:
+        return "budget", budget.nodes
+    return size, picks, budget.nodes
+
+
+def test_pack_disjoint_matches_the_intersection_reference():
+    rng = random.Random(29)
+    runs = Counter()
+    for _ in range(300):
+        petals = [frozenset(rng.sample(range(8), rng.randint(0, 4))) for _ in range(rng.randint(0, 9))]
+        for _ in range(rng.randint(0, 3)):  # repeated petals, empty ones included
+            petals.insert(rng.randint(0, len(petals)), rng.choice(petals or [frozenset()]))
+        for cap in range(1, 6):
+            assert _pack_disjoint(petals, cap) == reference_pack_disjoint(petals, cap)
+            full = _pack_run(_pack_disjoint, petals, cap, None)
+            assert full == _pack_run(reference_pack_disjoint, petals, cap, None), (petals, cap)
+            nodes = full[-1]
+            for limit in sorted({0, nodes // 2, nodes - 1, nodes}):
+                got = _pack_run(_pack_disjoint, petals, cap, limit)
+                assert got == _pack_run(reference_pack_disjoint, petals, cap, limit), (petals, cap, limit)
+                runs[got[0] == "budget"] += 1
+    # both outcomes are compared at the limits: running out and finishing
+    assert min(runs[True], runs[False]) >= 500, runs
 
 
 def test_kernel_graph_examples(l33, m2, k35):

@@ -1,10 +1,20 @@
 import itertools
 import math
+import operator
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import brute_turan, brute_twins, copy_hypergraph, random_hypergraph, reference_turan
+from helpers import (
+    brute_turan,
+    brute_twins,
+    copy_hypergraph,
+    random_hypergraph,
+    reference_pattern_copies,
+    reference_s_edges,
+    reference_turan,
+)
 from hgx import (
     BudgetExceeded,
     Hypergraph,
@@ -29,7 +39,14 @@ from hgx import (
     tree_shadow_bound_check,
     turan_oracle,
 )
-from hgx.extremal import _class_maps, _colex_universe, _copy_charge, _pattern_copies, _twin_classes
+from hgx.extremal import (
+    _class_maps,
+    _colex_universe,
+    _copy_charge,
+    _EdgeIndex,
+    _pattern_copies,
+    _twin_classes,
+)
 
 
 def edge_set(hg):
@@ -53,6 +70,13 @@ def test_gen_closed_forms_spot():
     for n, r, t in [(8, 3, 1), (10, 4, 3), (7, 2, 4), (5, 3, 5)]:
         assert gen_S(n, r, t).m == math.comb(n, r) - math.comb(n - t, r)
         assert gen_C(n, r, t).m == t * math.comb(n - t, r - 1)
+
+
+def test_gen_s_edges_are_the_set_filtered_combinations():
+    for n in range(9):
+        for r in range(1, n + 1):
+            for t in range(n + 1):
+                assert list(gen_S(n, r, t).edges) == reference_s_edges(n, r, t), (n, r, t)
 
 
 def test_gen_rejects_bad_params():
@@ -286,6 +310,39 @@ def test_pattern_copies_match_the_permutation_brute_force():
         lex = list(itertools.combinations(range(n), r))
         brute = {frozenset(frozenset(lex[i]) for i in c) for c in copy_hypergraph(n, r, pattern).edges}
         assert fast == brute, (pattern.edges, n)
+
+
+def test_pattern_copies_match_the_frozenset_reference_at_every_uniformity():
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(400):
+        r = rng.randint(1, 4)
+        pattern = random_hypergraph(rng, rng.randint(r, min(r + 3, 6)), r, rng.randint(1, 4))
+        n = rng.randint(r, 8)
+        universe = _colex_universe(n, r)
+        copies = _pattern_copies(pattern, n, universe)
+        assert copies == reference_pattern_copies(pattern, n, universe), (pattern.edges, n)
+        assert all(all(map(operator.lt, c, c[1:])) for c in copies)
+        assert len(set(copies)) == len(copies)
+        # the chain reads the copies inside a prefix of the universe by bisect
+        assert all(a[-1] <= b[-1] for a, b in zip(copies, copies[1:]))
+        seen[r] += bool(copies)
+    assert sorted(seen) == [1, 2, 3, 4] and min(seen.values()) >= 20, seen
+
+
+def test_edge_index_holds_only_the_orders_looked_up():
+    # all 720 orders of each 6-set would be P(12, 6) = 665,280 keys
+    universe = _colex_universe(12, 6)
+    index = _EdgeIndex(universe)
+    assert len(index) == 0
+    for i, e in enumerate(universe):
+        assert index[tuple(sorted(e, reverse=True))] == index[tuple(sorted(e))] == i
+    assert len(index) == 2 * len(universe)
+    with pytest.raises(KeyError):
+        index[(0, 1)]
+    # at r = 1 itemgetter hands over the bare vertex
+    singles = _EdgeIndex(_colex_universe(5, 1))
+    assert [singles[v] for v in range(5)] == list(range(5))
 
 
 def test_oracle_matches_min_cover_of_copy_hypergraph(m2, l32, triangle):
