@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Collection, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Edge = tuple[int, ...]
 
@@ -243,7 +243,7 @@ def _derived(n: int, edge_sets: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(n, edges, uniform_r=_infer_r(edges))
 
 
-# -- search budgets ---------------------------------------------------------
+# -- search budgets and stacks ----------------------------------------------
 
 
 class BudgetExceeded(RuntimeError):
@@ -263,6 +263,22 @@ class _Budget:
         self.nodes += k
         if self.limit is not None and self.nodes > self.limit:
             raise BudgetExceeded(f"search budget of {self.limit} nodes exhausted")
+
+
+def _drive(search: Generator) -> Any:
+    """Run ``search`` on one explicit stack: a step yields the sub-search it
+    needs and is sent its return value.  Returns the outermost value."""
+    stack, reply = [], None
+    while True:
+        try:
+            sub = search.send(reply)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            search, reply = stack.pop(), done.value
+        else:
+            stack.append(search)
+            search, reply = sub, None
 
 
 # -- shadows and degrees ------------------------------------------------

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .core import BudgetExceeded, Edge, Hypergraph, _Budget, degree, kernel_degree, shadow
+from .core import BudgetExceeded, Edge, Hypergraph, _Budget, _drive, degree, kernel_degree, shadow
 from .covers import sigma, tau
 from .embedding import _anchored, is_free
 from .trees import find_tree_ordering
@@ -40,10 +40,10 @@ def _comb(n: int, k: int) -> int:
 
 
 def gen_S(n: int, r: int, t: int) -> Hypergraph:
-    """All r-sets of [n] meeting {0..t-1}; size C(n,r) - C(n-t,r)."""
+    """All r-sets of [n] meeting {0..t-1}: the first C(n,r) - C(n-t,r) in lex order."""
     if not (0 <= t <= n and 1 <= r <= n):
         raise ValueError("need 0 <= t <= n and 1 <= r <= n")
-    edges = [c for c in itertools.combinations(range(n), r) if c[0] < t]
+    edges = itertools.islice(itertools.combinations(range(n), r), _comb(n, r) - _comb(n - t, r))
     out = Hypergraph(n, edges, uniform_r=r)
     assert out.m == _comb(n, r) - _comb(n - t, r)
     return out
@@ -395,9 +395,10 @@ def turan_oracle(
     U is the first maximum, and a seed of size U is returned unsearched.
     ex(n-1) comes from the same oracle on the first C(n-1, r) edges of
     the universe, with the copies that lie inside them, and level n-1
-    bounds itself the same way; the chain is at most n-r levels deep and
-    is kept on an explicit stack.  A level asks for ex(k-1) only when its
-    bound could certify the level's best b, that is when
+    bounds itself the same way; the chain is at most n-r levels deep,
+    and its levels are generators run on the explicit stack of
+    ``core._drive``.  A level asks for ex(k-1) only when its bound could
+    certify the level's best b, that is when
     floor(k * low / (k-r)) <= b for the best known lower bound ``low`` on
     ex(k-1): the larger closed-form seed on k-1 vertices, or b minus the
     least vertex degree of the best family (deleting that vertex leaves a
@@ -438,15 +439,15 @@ def turan_oracle(
                   + [_closed_form(pattern, k - 1, which, t) for which, t in params.items()])
         return k * low // (k - r) <= best
 
-    def level(k: int, seed: Hypergraph) -> Generator[int, int, int]:
-        """Level k's search: yields k - 1 to ask for ex(k-1), which is sent
-        back, and returns ex(k).  Level n keeps its best family in ``top``."""
+    def level(k: int, seed: Hypergraph) -> Generator[Generator, int, int]:
+        """Level k's search: yields level k - 1 to ask for ex(k-1), which is
+        sent back, and returns ex(k).  Level n keeps its best family in ``top``."""
         nonlocal top
         best, family, bound = seed.m, seed.edge_sets, None
         search = None
         while best != bound:
             if bound is None and k > r and gate(k, best, family):
-                bound = k * (yield k - 1) // (k - r)
+                bound = k * (yield level(k - 1, seed_on(k - 1))) // (k - r)
                 assert bound >= best, "Katona-Nemetz-Simonovits bound below a free family"
                 continue
             if search is None:
@@ -469,17 +470,7 @@ def turan_oracle(
         tracker.tick(build)
         universe = _colex_universe(n, r)
         copies = _pattern_copies(pattern, n, universe)
-        chain = [level(n, seed)]
-        reply = None
-        while chain:
-            try:
-                k = chain[-1].send(reply)
-            except StopIteration as done:
-                chain.pop()
-                reply = done.value
-            else:
-                chain.append(level(k, seed_on(k)))
-                reply = None
+        _drive(level(n, seed))
         certified = True
     except BudgetExceeded:
         certified = False

@@ -6,6 +6,7 @@ enumeration, so library results are checked against a second route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -279,6 +280,14 @@ def copy_hypergraph(n: int, r: int, pattern: Hypergraph) -> Hypergraph:
         amap = dict(zip(support, image))
         copies.add(frozenset(number[tuple(sorted(amap[v] for v in e))] for e in pattern.edges))
     return Hypergraph(len(number), [sorted(c) for c in copies])
+
+
+def shuffled_relabelled(rng: random.Random, hg: Hypergraph) -> Hypergraph:
+    """``hg`` with its vertices permuted and its edges listed in random order."""
+    labels = rng.sample(range(hg.n), hg.n)
+    edges = [[labels[v] for v in e] for e in hg.edges]
+    rng.shuffle(edges)
+    return Hypergraph(hg.n, edges, uniform_r=hg.uniform_r, allow_multi=hg.allow_multi)
 
 
 def random_multi_hypergraph(
@@ -645,3 +654,83 @@ def reference_s_edges(n: int, r: int, t: int) -> list[tuple[int, ...]]:
     in ``combinations`` order."""
     marked = set(range(t))
     return [c for c in itertools.combinations(range(n), r) if marked & set(c)]
+
+
+def _reference_smallest(edges, masks, stars, forced, banned, cap, exact, low):
+    """Vertex mask of a smallest set that hits every edge (exactly once when
+    ``exact``), contains ``forced`` and avoids ``banned``, or None when there
+    is none of size at most ``cap``; a branch and bound over every edge, with
+    no component split.  Vertex k has the edge mask ``masks[k]`` and the star
+    ``stars[k]``; the search stops at a set of size ``low``."""
+    hit, blocked, chosen = 0, banned, 0
+    for k in forced:
+        if exact and hit & masks[k]:
+            return None
+        hit |= masks[k]
+        chosen |= 1 << k
+        if exact:
+            blocked |= stars[k]
+    best, found = cap + 1, None
+    stack = [(len(forced), hit, blocked, chosen)]
+    while stack and best > low:
+        size, hit, blocked, chosen = stack.pop()
+        parts = [e & ~blocked for i, e in enumerate(edges) if not hit >> i & 1]
+        if 0 in parts:
+            continue
+        used = bound = 0
+        for part in parts:
+            if not part & used:
+                used |= part
+                bound += 1
+        if size + bound >= best:
+            continue
+        if not parts:
+            best, found = size, chosen
+            continue
+        part = min(parts, key=int.bit_count)
+        while part:
+            k = part.bit_length() - 1
+            stack.append((
+                size + 1, hit | masks[k], blocked | stars[k] if exact else blocked, chosen | 1 << k
+            ))
+            part ^= 1 << k
+    return found
+
+
+def reference_minimum_sets(hg: Hypergraph, exact: bool) -> Iterator[frozenset[int]]:
+    """Every minimum cross-cut (``exact``) or minimum cover in ascending
+    lex order, none when no cross-cut exists, by a route apart from the
+    component search of ``covers``: an ascending vertex walk, include first,
+    that enters a branch only with a witness found by ``_reference_smallest``
+    and reuses its node's witness for the include branch when that holds
+    the vertex."""
+    if any(not e for e in hg.edge_sets):
+        raise ValueError("covers are undefined when the empty set is an edge")
+    inc = hg.incidence
+    vertices = sorted(inc)
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    edges = [sum(bit[v] for v in e) for e in hg.distinct_edges]
+    masks = [sum(1 << j for j in inc[v]) for v in vertices]
+    stars = [functools.reduce(operator.or_, (edges[j] for j in inc[v])) for v in vertices]
+    found = _reference_smallest(edges, masks, stars, (), 0, len(vertices), exact, 0)
+    if found is None:
+        return
+    value = found.bit_count()
+    stack: list[tuple[int, tuple[int, ...], int, Optional[int]]] = [(0, (), 0, found)]
+    while stack:
+        k, forced, banned, witness = stack.pop()
+        if witness is None:
+            witness = _reference_smallest(edges, masks, stars, forced, banned, value, exact, value)
+            if witness is None:
+                continue
+        if len(forced) == value:
+            yield frozenset(vertices[j] for j in forced)
+            continue
+        take = forced + (k,)
+        if witness >> k & 1:
+            inside, witness = witness, None
+        else:
+            inside = _reference_smallest(edges, masks, stars, take, banned, value, exact, value)
+        stack.append((k + 1, forced, banned | 1 << k, witness))
+        if inside is not None:
+            stack.append((k + 1, take, banned, inside))

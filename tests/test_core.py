@@ -144,7 +144,7 @@ def test_construction_matches_the_reference_canonicalisation():
             given_sorted = len({len(v) for _, v in specs}) == 1 and all(
                 f in ("sorted", "range") and len(set(v)) == len(v) for f, v in specs
             )
-            seen["kept as given" if given_sorted else "canonicalised"] += 1
+            seen["one-size sorted, column check" if given_sorted else "canonicalised"] += 1
         else:
             seen[re.sub(r"edge \(.*\)|-?\d+", "", got)] += 1
     # every branch of the constructor and every error is exercised

@@ -1,8 +1,16 @@
 import random
+import time
 
 import pytest
 
-from helpers import brute_min_covers, brute_min_crosscuts, random_hypergraph
+from helpers import (
+    brute_min_covers,
+    brute_min_crosscuts,
+    random_hypergraph,
+    random_tree,
+    reference_minimum_sets,
+    shuffled_relabelled,
+)
 from hgx import (
     Cover,
     CrossCut,
@@ -212,3 +220,65 @@ def test_sparse_labels_index_the_support():
     ]
     size, cuts = brute_min_crosscuts(g)
     assert sigma(g) == (size, CrossCut(min(cuts, key=sorted)))
+
+
+def _parity_case(rng):
+    """A random input for the parity test: mixed or uniform edges with
+    repeats, an edgeless one, a tree, possibly with extra edges that close
+    cycles, or a sparse graph on up to 24 vertices, under shuffled edges
+    and fresh vertex labels.  The sparse graphs fall apart into components
+    that recur under different caps, where a memo entry must keep its cap."""
+    kind = rng.randrange(10)
+    if kind == 0:
+        return Hypergraph(rng.randint(0, 3), [])
+    r = rng.randint(1, 4)
+    if kind >= 8:
+        n = rng.randint(12, 24)
+        edges = [rng.sample(range(n), 2) for _ in range(n + rng.randint(0, 4))]
+    elif kind < 4:
+        tree, _ = random_tree(rng, r, 6)
+        edges = [list(e) for e in tree.edges]
+        if kind == 3:  # a non-tree: edges across the tree
+            edges += [rng.sample(range(tree.n), min(r, tree.n)) for _ in range(rng.randint(1, 3))]
+    else:
+        n = rng.randint(1, 11)
+        sizes = range(1, r + 1) if kind < 7 else (r,)
+        edges = [rng.sample(range(n), min(rng.choice(sizes), n)) for _ in range(rng.randint(1, 14))]
+        edges += [rng.choice(edges) for _ in range(rng.choice((0, 0, 1, 3)))]
+    labels = rng.sample(range(40), 1 + max(v for e in edges for v in e))
+    edges = [[labels[v] for v in e] for e in edges]
+    rng.shuffle(edges)
+    return Hypergraph(40, edges, allow_multi=True)
+
+
+def test_search_matches_the_walk_reference():
+    # values, witnesses and cut lists against the vertex walk, on 3,000 inputs
+    rng = random.Random(59)
+    for _ in range(3000):
+        g = _parity_case(rng)
+        cover = next(reference_minimum_sets(g, False))
+        assert tau(g) == (len(cover), Cover(cover))
+        cuts = list(reference_minimum_sets(g, True))
+        if not cuts:
+            assert sigma(g) == (float("inf"), None)
+            with pytest.raises(ValueError):
+                enumerate_min_crosscuts(g)
+            continue
+        assert sigma(g) == (len(cuts[0]), CrossCut(cuts[0]))
+        assert enumerate_min_crosscuts(g) == [CrossCut(c) for c in cuts]
+
+
+@pytest.mark.parametrize("which, family, params, value", [
+    ("tau", "linear_path", {"m": 200}, 100),
+    ("sigma", "linear_path", {"m": 200}, 100),
+    ("tau", "matching", {"s": 1200, "r": 3}, 1200),
+], ids=["tau-path-200", "sigma-path-200", "tau-matching-1200"])
+def test_search_scales_on_long_paths_and_large_matchings(which, family, params, value):
+    # a path or a matching falls apart into components whatever its labels
+    # and edge order; a search without the split took over a second at 52 edges
+    g = shuffled_relabelled(random.Random(5), gen_standard(family, **params))
+    started = time.perf_counter()
+    size, witness = {"tau": tau, "sigma": sigma}[which](g)
+    assert time.perf_counter() - started < 2.0
+    assert size == value
+    assert (is_cover if which == "tau" else is_crosscut)(g, witness.vertices)

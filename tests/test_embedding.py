@@ -175,6 +175,17 @@ def test_greedy_rejects_bad_start(t3, k35):
         greedy_tree_embed(t3, cert, k35, {0: 0, 1: 1, 3: 2})
 
 
+@pytest.mark.parametrize("start, message", [
+    ({0: 0, 1: 0, 2: 1}, "starting map must be injective"),
+    ({0: 0, 1: 1, 2: 7}, "starting map must send the first edge onto a host edge"),
+])
+def test_greedy_names_a_bad_start_map(t3, k35, start, message):
+    cert = find_tree_ordering(t3, require_tight=True)
+    assert sorted(t3.edges[cert.order[0]]) == [0, 1, 2]
+    with pytest.raises(ValueError, match=message):
+        greedy_tree_embed(t3, cert, k35, start)
+
+
 def test_greedy_rejects_edgeless_tree(k35):
     empty = Hypergraph(0, [], uniform_r=3)
     with pytest.raises(ValueError, match="at least one edge"):
@@ -375,3 +386,12 @@ def test_anchored_search_tries_placements_in_order():
     with pytest.raises(BudgetExceeded):
         contains_anchored(pattern, family, anchor, budget=19)
     assert contains_anchored(pattern, family, anchor, budget=20) is True
+
+
+@pytest.mark.parametrize("pattern, anchor, found", [
+    (Hypergraph(3, [], uniform_r=3), frozenset({0, 1, 2}), True),  # nothing to place
+    (gen_standard("matching", s=2, r=3), frozenset({0, 1}), False),  # no triple on a pair
+])
+def test_anchored_search_answers_without_searching(pattern, anchor, found):
+    family = [frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({0, 1})]
+    assert contains_anchored(pattern, family, anchor, budget=1) is found

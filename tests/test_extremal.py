@@ -363,6 +363,11 @@ def test_oracle_rejects_bad_input(m2):
         turan_oracle(6, 3, Hypergraph(3, [], uniform_r=3))
 
 
+def test_oracle_rejects_a_negative_vertex_count(m2):
+    with pytest.raises(ValueError, match="need n >= 0 and r >= 1"):
+        turan_oracle(-1, 3, m2)
+
+
 def test_oracle_matches_exhaustive_scan(m2, l32, triangle):
     from helpers import brute_turan
 

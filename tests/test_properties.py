@@ -9,6 +9,7 @@ from helpers import (
     random_hypergraph,
     random_tree,
     recursion_headroom,
+    shuffled_relabelled,
 )
 from hgx import (
     Hypergraph,
@@ -25,6 +26,7 @@ from hgx import (
     tau,
     tighten,
     trace_certified,
+    turan_oracle,
     verify_certificate,
 )
 
@@ -326,7 +328,13 @@ def test_search_depth_does_not_grow_with_the_input():
     # a recursive search takes a frame per placed or chosen vertex, far more than 50
     path, long_path = gen_standard("linear_path", m=40), gen_standard("linear_path", m=150)
     matching = gen_standard("matching", s=80, r=3)
+    shuffled = shuffled_relabelled(random.Random(0), long_path)
+    singletons = Hypergraph(2, [[0], [1]], uniform_r=1)
     with recursion_headroom(50):
         assert embed(path, path).found
         assert tau(matching)[0] == 80
         assert sigma(long_path)[0] == 75
+        assert tau(shuffled)[0] == 75
+        # the oracle's chain of ex(k) levels runs 199 deep, k = 200 down to 2
+        result = turan_oracle(200, 1, singletons)
+        assert (result.value, result.certified, result.nodes) == (1, True, 3)

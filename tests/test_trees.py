@@ -372,6 +372,12 @@ def test_tighten_already_tight(t3):
     assert tight_cert.tight
 
 
+def test_tighten_edgeless_tree_is_its_input():
+    empty = Hypergraph(3, [], uniform_r=3)
+    cert = find_tree_ordering(empty)
+    assert tighten(empty, cert) == (empty, cert)
+
+
 def test_tighten_l32(l32):
     tight, tight_cert = tighten(l32, find_tree_ordering(l32))
     assert tight_cert.tight
